@@ -7,13 +7,20 @@ chain W0, W1, W2, the partner potentials, and the three lower / two upper
 eigenfunctions.  Evaluation is jet based away from the structural points of
 U and switches to matched local series inside narrow windows around them;
 the seam between the two representations is verified at construction time.
+
+The chain formulas (W~+ = U/W+, W0 and W1 from W+, W2 from W~+, and the
+excited-state factors g and h) live in ``_chain`` alone, which works on any
+truncated series type: patches apply it once to their Laurent series, and
+``ConstructedSystem.chain`` applies it to jets at a point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -97,37 +104,36 @@ class BranchMap:
         return self.signs[i]
 
 
-class _BranchLocal:
-    """All local series derived from one W+ branch at one structural point."""
+class _Chain(NamedTuple):
+    """One W+ branch and everything the chain derives from it."""
 
-    def __init__(self, wp: local_series.LaurentPoly, u_loc, pair: EnergyPair):
-        e0, e1 = pair.eps0, pair.eps1
-        self.wp = wp
-        wpt = _structural(wp, 1e-9)
-        if wpt.valuation >= 1:
-            slope = wpt.coeff(1)
-            tol = 1e-6 * max(1.0, 2.0 * e0)
-            if abs(slope - 2.0 * e0) > tol and abs(slope + 2.0 * e0) > tol:
-                raise UnremovablePoleError(
-                    wp.x0,
-                    f"W+ vanishes with slope {slope:.6g} outside {{+2*eps0, -2*eps0}}; "
-                    "the chain pole cannot cancel",
-                )
-        # numerators that cancel at t = 0 must be trimmed before dividing,
-        # or roundoff remnants turn into spurious pole terms downstream
-        wp_d = wp.derivative()
-        diff0 = (wp_d - 2.0 * e0).structurally_trimmed(1e-12) / wp
-        self.w0 = (wp - diff0) * 0.5
-        self.w1 = (wp + diff0) * 0.5
-        self.wt = u_loc.structurally_trimmed(1e-12) / wp
-        wt_d = self.wt.derivative()
-        diff2 = (wt_d - 2.0 * e1).structurally_trimmed(1e-12) / self.wt
-        self.w2 = (self.wt + diff2) * 0.5
-        self.g = (self.w0 + self.w2) * self.wt - wt_d
-        self.h = self.g.derivative() - self.g * (self.w2 - self.w0)
-        w0d = self.w0.derivative()
-        self.v_minus = (self.w0 * self.w0 - w0d) * 0.5
-        self.v_plus = (self.w0 * self.w0 + w0d) * 0.5
+    wp: object
+    wt: object
+    w0: object
+    w1: object
+    w2: object
+    g: object
+    h: object
+
+
+def _chain(wp, u, pair: EnergyPair, d, cancel) -> _Chain:
+    """The chain of one W+ branch, over jets or Laurent series alike.
+
+    d differentiates a series; cancel trims a numerator that cancels at the
+    expansion point, which must happen before dividing or roundoff remnants
+    turn into spurious pole terms downstream.
+    """
+    e0, e1 = pair.eps0, pair.eps1
+    diff0 = cancel(d(wp) - 2.0 * e0) / wp
+    w0 = (wp - diff0) * 0.5
+    w1 = (wp + diff0) * 0.5
+    wt = cancel(u) / wp
+    wt_d = d(wt)
+    diff2 = cancel(wt_d - 2.0 * e1) / wt
+    w2 = (wt + diff2) * 0.5
+    g = (w0 + w2) * wt - wt_d
+    h = d(g) - g * (w2 - w0)
+    return _Chain(wp, wt, w0, w1, w2, g, h)
 
 
 class _Patch:
@@ -137,11 +143,11 @@ class _Patch:
         self.x = x
         self.kind = kind
         self.u_jet = u_jet
-        self.branches = {}  # (side, sign) -> _BranchLocal or UnremovablePoleError
+        self.branches = {}  # (side, sign) -> _Chain of LaurentPoly or UnremovablePoleError
         self.vplus_pole = False
         self.eval_halfwidth = 0.0
 
-    def local(self, side: int, sign: int) -> _BranchLocal:
+    def local(self, side: int, sign: int) -> _Chain:
         # a combination whose chain pole cannot cancel is stored as the
         # error itself: harmless unless evaluation actually lands on it
         got = self.branches[(side, sign)]
@@ -155,10 +161,6 @@ def _reduce(x: float, period: float) -> float:
     if xr < 0.0:
         xr += period
     return xr
-
-
-def _structural(lp: local_series.LaurentPoly, tol: float) -> local_series.LaurentPoly:
-    return lp.structurally_trimmed(tol)
 
 
 def stable_discriminant(u_jet: jets.Jet, pair: EnergyPair) -> jets.Jet:
@@ -190,7 +192,7 @@ class ConstructedSystem:
         self._build_fourier()
         self.report = None
         if validate:
-            self.report = validator.check_admissibility(u, eps0, eps1, period)
+            self.report = validator.check_admissibility(self.u, eps0, eps1, period)
             if not self.report.passed:
                 failed = [c.name for c in self.report.checks if not c.passed]
                 raise InadmissibleInputError(
@@ -235,7 +237,10 @@ class ConstructedSystem:
         _, sv = validator.discriminant_samples(self.u)
         self._s_samples = sv
         self._s_scale = max(float(np.max(np.abs(sv))), 1.0)
-        zero_records = validator.locate_zeros(self.u, self.pair.eps0, self.pair.eps1, L)
+        if self.report is not None:
+            zero_records = self.report.zeros
+        else:
+            zero_records = validator.locate_zeros(self.u, self.pair.eps0, self.pair.eps1, L)
         pts = []
         for z in zero_records:
             if z.order == 1:
@@ -382,12 +387,14 @@ class ConstructedSystem:
         decision is left to the parity pairing (None).
         """
         d = self.patch_halfwidth
+        ul = self.u.jet(_reduce(b - d, self.period))
+        ur = self.u.jet(_reduce(b + d, self.period))
         out = {}
         for sl in (+1, -1):
-            jl = self._w_direct(_reduce(b - d, self.period), sl)
+            jl = self._w_direct(ul, sl)
             grow = jl.value + 2.0 * d * jl.derivative(1)
             for sr in (+1, -1):
-                jr = self._w_direct(_reduce(b + d, self.period), sr)
+                jr = self._w_direct(ur, sr)
                 out[(sl, sr)] = abs(jr.value - grow) + 2.0 * d * abs(
                     jr.derivative(1) - jl.derivative(1)
                 )
@@ -420,10 +427,12 @@ class ConstructedSystem:
             if not candidates:
                 raise PatchFailureError(patch.x, "no local branch solves the quadratic")
             u_loc = local_series.LaurentPoly(patch.x, 0, uc)
+            slope_tol = 1e-6 * max(1.0, 2.0 * e0)
             for side in (+1, -1):
                 xs = patch.x + side * h
+                u_seam = self.u.jet(_reduce(xs, self.period))
                 for sign in (+1, -1):
-                    target = self._w_direct(_reduce(xs, self.period), sign).value
+                    target = self._w_direct(u_seam, sign).value
                     ref = max(1.0, abs(target))
                     best, best_err = None, math.inf
                     for cand in candidates:
@@ -432,24 +441,39 @@ class ConstructedSystem:
                             best, best_err = cand, err
                     if best_err > SEAM_TOL * ref:
                         raise SeamMismatchError(xs, best_err / ref, SEAM_TOL)
-                    try:
-                        patch.branches[(side, sign)] = _BranchLocal(best, u_loc, self.pair)
-                    except UnremovablePoleError as exc:
-                        patch.branches[(side, sign)] = exc
+                    # a branch vanishing with a slope other than +-2*eps0 leaves
+                    # a chain pole that cannot cancel; it is stored as the error
+                    wpt = best.structurally_trimmed(1e-9)
+                    slope = wpt.coeff(1)
+                    if (
+                        wpt.valuation >= 1
+                        and abs(slope - 2.0 * e0) > slope_tol
+                        and abs(slope + 2.0 * e0) > slope_tol
+                    ):
+                        patch.branches[(side, sign)] = UnremovablePoleError(
+                            patch.x,
+                            f"W+ vanishes with slope {slope:.6g} outside {{+2*eps0, -2*eps0}}; "
+                            "the chain pole cannot cancel",
+                        )
+                    else:
+                        patch.branches[(side, sign)] = _chain(
+                            best, u_loc, self.pair, local_series.LaurentPoly.derivative,
+                            lambda lp: lp.structurally_trimmed(1e-12),
+                        )
             if patch.kind not in (KIND_DOUBLE_ZERO, KIND_BRANCH_TOUCH):
                 for sign in (+1, -1):
                     pa = patch.branches[(+1, sign)]
                     pb = patch.branches[(-1, sign)]
                     if isinstance(pa, UnremovablePoleError) or isinstance(pb, UnremovablePoleError):
                         continue
-                    a = _structural(pa.wp, 1e-9)
-                    b = _structural(pb.wp, 1e-9)
+                    a = pa.wp.structurally_trimmed(1e-9)
+                    b = pb.wp.structurally_trimmed(1e-9)
                     if a.valuation != b.valuation:
                         raise PatchFailureError(
                             patch.x, "branch type changes across a point that is not a breakpoint"
                         )
 
-    def _active_local(self, patch: _Patch, side: int) -> _BranchLocal:
+    def _active_local(self, patch: _Patch, side: int) -> _Chain:
         sign = self.branch_map.sign_at(patch.x + side * 0.5 * self.patch_halfwidth)
         return patch.local(side, sign)
 
@@ -463,10 +487,10 @@ class ConstructedSystem:
             # but a tuned tangential touch can stay regular
             patch.vplus_pole = (
                 patch.kind == KIND_LOWER_EDGE
-                and _structural(loc.w0, 1e-9).valuation < 0
+                and loc.w0.structurally_trimmed(1e-9).valuation < 0
             )
             for name in CHAIN_NAMES:
-                lp = _structural(getattr(loc, name), 1e-12)
+                lp = getattr(loc, name).structurally_trimmed(1e-12)
                 if lp.valuation < 0:
                     res = lp.residue()
                     if abs(res) > 1e-8:
@@ -522,8 +546,8 @@ class ConstructedSystem:
         off = t if t != 0.0 else 0.5 * self.patch_halfwidth
         return self.branch_map.sign_at(patch.x + off)
 
-    def _w_direct(self, x: float, sign: int) -> jets.Jet:
-        u = self.u.jet(x)
+    def _w_direct(self, u: jets.Jet, sign: int) -> jets.Jet:
+        """Stable-form W+ on the given branch, from the jet of U at a point."""
         up = jets.differentiate(u)
         s = stable_discriminant(u, self.pair)
         scale = (
@@ -532,14 +556,14 @@ class ConstructedSystem:
             + 1.0
         )
         if s.value < -DISC_TOL * scale:
-            raise NegativeDiscriminantError(x, s.value)
+            raise NegativeDiscriminantError(u.x0, s.value)
         if s.value <= 0.0:
             s = jets.Jet(s.x0, (1e-30 * scale,) + s.coeffs[1:])
         return _select_form(u, up, jets.sqrt(s), sign, self.pair)
 
     @staticmethod
     def _local_jet(lp: local_series.LaurentPoly, t: float, x: float) -> jets.Jet:
-        lp = _structural(lp, 1e-12)
+        lp = lp.structurally_trimmed(1e-12)
         if t == 0.0:
             if lp.valuation >= 0:
                 return jets.Jet(x, tuple(lp.coeff(k) for k in range(jets.N_COEFF)))
@@ -568,45 +592,34 @@ class ConstructedSystem:
         if patch is None:
             if sign is None:
                 sign = self.branch_map.sign_at(xr)
-            return self._w_direct(xr, sign)
+            return self._w_direct(self.u.jet(xr), sign)
         if sign is None:
             sign = self._patch_sign(patch, t)
         side = +1 if t >= 0.0 else -1
         return self._local_jet(patch.local(side, sign).wp, t, xr)
 
-    def w_plus_tilde(self, x: float, sign: int | None = None) -> jets.Jet:
+    def chain(self, x: float, sign: int | None = None) -> _Chain:
+        """Jets of every chain member at x (sign-map branch unless overridden);
+        local-series backed inside patch windows."""
         xr = _reduce(x, self.period)
         patch, t = self._near_patch(xr)
         if patch is not None:
             if sign is None:
                 sign = self._patch_sign(patch, t)
             side = +1 if t >= 0.0 else -1
-            return self._local_jet(patch.local(side, sign).wt, t, xr)
+            return _Chain(*(self._local_jet(lp, t, xr) for lp in patch.local(side, sign)))
         if sign is None:
             sign = self.branch_map.sign_at(xr)
-        return self.u.jet(xr) / self._w_direct(xr, sign)
+        u = self.u.jet(xr)
+        return _chain(self._w_direct(u, sign), u, self.pair, jets.differentiate, lambda j: j)
 
-    def _chain_jets(self, x: float, sign: int | None = None):
-        """(W0, W1, W2) jets at x; local-series backed inside patch windows."""
-        xr = _reduce(x, self.period)
-        patch, t = self._near_patch(xr)
-        if patch is not None:
-            if sign is None:
-                sign = self._patch_sign(patch, t)
-            side = +1 if t >= 0.0 else -1
-            loc = patch.local(side, sign)
-            return tuple(self._local_jet(getattr(loc, n), t, xr) for n in CHAIN_NAMES)
-        if sign is None:
-            sign = self.branch_map.sign_at(xr)
-        e0, e1 = self.pair.eps0, self.pair.eps1
-        w = self._w_direct(xr, sign)
-        diff0 = (jets.differentiate(w) - 2.0 * e0) / w
-        wt = self.u.jet(xr) / w
-        diff2 = (jets.differentiate(wt) - 2.0 * e1) / wt
-        return 0.5 * (w - diff0), 0.5 * (w + diff0), 0.5 * (wt + diff2)
+    def w_plus_tilde(self, x: float, sign: int | None = None) -> jets.Jet:
+        return self.chain(x, sign).wt
 
     def superpotentials(self, x: float, sign: int | None = None):
-        return self._chain_jets(x, sign)
+        """(W0, W1, W2) jets at x."""
+        c = self.chain(x, sign)
+        return c.w0, c.w1, c.w2
 
     def potentials(self, x: float, sign: int | None = None):
         """(V-, V+) at x.  An exact hit of a lower-strip-edge point whose
@@ -615,7 +628,7 @@ class ConstructedSystem:
         patch, t = self._near_patch(xr)
         if patch is not None and abs(t) < 1e-12 * self.period and patch.vplus_pole:
             raise VplusPoleError(patch.x)
-        w0 = self._chain_jets(xr, sign)[0]
+        w0 = self.chain(xr, sign).w0
         v = w0.value * w0.value
         d = w0.derivative(1)
         return 0.5 * (v - d), 0.5 * (v + d)
@@ -636,15 +649,13 @@ class ConstructedSystem:
         return self._ensure_assembly().psi_plus(x, c1, c2)
 
     def log_weight(self, i: int, x) -> float:
-        """Pole-regularized integral of W_i from the half-period point to x."""
-        return self._ensure_assembly().log_weight(i, float(x))
+        """Pole-regularized integral of W_i from the half-period point to x
+        (periodic in x)."""
+        return self._ensure_assembly().log_weight(i, _reduce(x, self.period))
 
     # ------------------------------------------------------------------
     # quadrature
     # ------------------------------------------------------------------
-
-    def _w_value(self, i: int, x: float) -> float:
-        return self._chain_jets(x)[i].value
 
     def integrate_superpotential(self, i: int, a: float, b: float) -> float:
         """Integral of W_i over [a, b]; principal value across chain poles.
@@ -683,7 +694,7 @@ class ConstructedSystem:
                 total += self._integrate_local(win[2], win[3], name, lo, hi)
             else:
                 val, err = quad(
-                    lambda x: self._w_value(i, x), lo, hi,
+                    lambda x: getattr(self.chain(x), name).value, lo, hi,
                     epsabs=1e-13, epsrel=1e-13, limit=200,
                 )
                 if err > 1e-10:
@@ -693,8 +704,8 @@ class ConstructedSystem:
 
     def _integrate_local(self, patch: _Patch, img: float, name: str, lo: float, hi: float) -> float:
         t0, t1 = lo - img, hi - img
-        lp_l = _structural(getattr(self._active_local(patch, -1), name), 1e-12)
-        lp_r = _structural(getattr(self._active_local(patch, +1), name), 1e-12)
+        lp_l = getattr(self._active_local(patch, -1), name).structurally_trimmed(1e-12)
+        lp_r = getattr(self._active_local(patch, +1), name).structurally_trimmed(1e-12)
         if t1 <= 0.0:
             return _laurent_piece(lp_l, t0, t1)
         if t0 >= 0.0:
@@ -777,10 +788,7 @@ class _StateAssembly:
         self.seg_bounds = [0.0] + cuts + [L]
         self.pole_sets = []
         self.images = []
-        self.seg_tables = []
-        self.seg_base = []
-        self.phi_mid = []
-        for i, name in enumerate(CHAIN_NAMES):
+        for name in CHAIN_NAMES:
             qs = tuple(system.poles[name])
             imgs = []
             for (q, rho) in qs:
@@ -790,11 +798,20 @@ class _StateAssembly:
                         imgs.append((qi, rho))
             self.pole_sets.append(qs)
             self.images.append(tuple(imgs))
-            sample = lambda xv, idx=i: self._regular_samples(idx, np.asarray(xv, dtype=float))
-            tables = []
-            base = []
-            acc = 0.0
-            for a, b in zip(self.seg_bounds[:-1], self.seg_bounds[1:]):
+        self.seg_tables = [[] for _ in CHAIN_NAMES]
+        self.seg_base = [[] for _ in CHAIN_NAMES]
+        acc = [0.0 for _ in CHAIN_NAMES]
+        for a, b in zip(self.seg_bounds[:-1], self.seg_bounds[1:]):
+            # node count -> all three chains sampled at those nodes; each
+            # chain climbs its own resolution ladder over the shared samples
+            rows = {}
+            for i in range(len(CHAIN_NAMES)):
+
+                def sample(xv, i=i, rows=rows):
+                    if xv.size not in rows:
+                        rows[xv.size] = self._regular_samples(xv)
+                    return rows[xv.size][i]
+
                 n = CHEB_DEGREE
                 while True:
                     cheb = _cheb_fit(sample, n, a, b)
@@ -804,12 +821,10 @@ class _StateAssembly:
                         break
                     n *= 2
                 cheb = cheb.integ()
-                tables.append(cheb)
-                base.append(acc - float(cheb(a)))
-                acc += float(cheb(b)) - float(cheb(a))
-            self.seg_tables.append(tables)
-            self.seg_base.append(base)
-            self.phi_mid.append(self._phi(i, self.xm))
+                self.seg_tables[i].append(cheb)
+                self.seg_base[i].append(acc[i] - float(cheb(a)))
+                acc[i] += float(cheb(b)) - float(cheb(a))
+        self.phi_mid = [self._phi(i, self.xm) for i in range(len(CHAIN_NAMES))]
         self.wrap_signs = None
 
     def _phi(self, i: int, x: float) -> float:
@@ -819,30 +834,31 @@ class _StateAssembly:
         k = min(max(bisect_right(bounds, xc) - 1, 0), len(bounds) - 2)
         return self.seg_base[i][k] + float(self.seg_tables[i][k](xc))
 
-    def _regular_samples(self, i: int, xs: np.ndarray) -> np.ndarray:
+    def _regular_samples(self, xs: np.ndarray) -> np.ndarray:
+        """W0, W1, W2 with every registered pole term removed, one row each."""
         sysm = self.sys
-        name = CHAIN_NAMES[i]
-        flat = xs.ravel()
-        out = np.empty_like(flat)
-        for k, x in enumerate(flat):
+        out = np.empty((len(CHAIN_NAMES), xs.size))
+        for k, x in enumerate(xs):
             patch, t = sysm._near_patch(x)
             if patch is None:
-                v = sysm._chain_jets(x)[i].value
-                for (q, rho) in self.images[i]:
-                    v -= rho / (x - q)
+                chain = sysm.chain(x)
             else:
-                side = +1 if t >= 0.0 else -1
-                lp = _structural(getattr(sysm._active_local(patch, side), name), 1e-12)
+                loc = sysm._active_local(patch, +1 if t >= 0.0 else -1)
                 center = x - t
-                if lp.valuation < 0:
-                    lp = lp.regular_part()
-                v = float(lp(lp.x0 + t))
+            for i, name in enumerate(CHAIN_NAMES):
+                if patch is None:
+                    v = getattr(chain, name).value
+                else:
+                    lp = getattr(loc, name).structurally_trimmed(1e-12)
+                    if lp.valuation < 0:
+                        lp = lp.regular_part()
+                    v = float(lp(lp.x0 + t))
                 for (q, rho) in self.images[i]:
-                    if abs(q - center) < 1e-9:
+                    if patch is not None and abs(q - center) < 1e-9:
                         continue  # own pole handled by the series split
                     v -= rho / (x - q)
-            out[k] = v
-        return out.reshape(xs.shape)
+                out[i, k] = v
+        return out
 
     def log_weight(self, i: int, x: float) -> float:
         phi = self._phi(i, x) - self.phi_mid[i]
@@ -883,7 +899,7 @@ class _StateAssembly:
         if patch is None:
             raise PatchFailureError(q, "pole image lies outside every patch window")
         side = +1 if tp >= 0.0 else -1
-        lp = _structural(getattr(sysm._active_local(patch, side), local_name), 1e-12)
+        lp = getattr(sysm._active_local(patch, side), local_name).structurally_trimmed(1e-12)
         rho_int = int(round(rho))
         shifted = local_series.LaurentPoly(lp.x0, lp.valuation - rho_int, lp.coeffs)
         base = math.exp(-self._log_weight_excluding(i_chain, x, q))
@@ -893,150 +909,71 @@ class _StateAssembly:
         probe = x if t != 0.0 else q + 0.5 * sysm.patch_halfwidth
         return self._flip(i_chain, probe) * sgn * val * base
 
-    # raw single-period state values, unit constants
-    def _psi0_raw(self, x: float) -> float:
-        near = self._nearest_pole_image(0, x)
+    def _raw_state(self, i: int, x: float, local_name: str, factor) -> float:
+        """flip * factor() * exp(-log_weight) of chain i, unit constant; near a
+        pole image of chain i, the local series of local_name instead."""
+        near = self._nearest_pole_image(i, x)
         if near is not None:
-            return self._pole_window_value(0, x, near[0], near[1], "w0")
-        return self._flip(0, x) * math.exp(-self.log_weight(0, x))
+            return self._pole_window_value(i, x, near[0], near[1], local_name)
+        return self._flip(i, x) * factor() * math.exp(-self.log_weight(i, x))
 
-    def _psi1_raw(self, x: float) -> float:
-        near = self._nearest_pole_image(1, x)
-        if near is not None:
-            return self._pole_window_value(1, x, near[0], near[1], "wp")
-        return self._flip(1, x) * self.sys.w_plus(x).value * math.exp(-self.log_weight(1, x))
-
-    def _g_value(self, x: float) -> float:
-        sysm = self.sys
-        patch, t = sysm._near_patch(x)
-        if patch is not None:
-            side = +1 if t >= 0.0 else -1
-            lp = sysm._active_local(patch, side).g
-            return sysm._local_jet(lp, t, x).value
-        w0, _, w2 = sysm._chain_jets(x)
-        wt = sysm.w_plus_tilde(x)
-        return (w0.value + w2.value) * wt.value - wt.derivative(1)
-
-    def _h_value(self, x: float) -> float:
-        sysm = self.sys
-        patch, t = sysm._near_patch(x)
-        if patch is not None:
-            side = +1 if t >= 0.0 else -1
-            lp = sysm._active_local(patch, side).h
-            return sysm._local_jet(lp, t, x).value
-        w0, _, w2 = sysm._chain_jets(x)
-        wt = sysm.w_plus_tilde(x)
-        g = (w0 + w2) * wt - jets.differentiate(wt)
-        return g.derivative(1) - g.value * (w2.value - w0.value)
-
-    def _psi2_raw(self, x: float) -> float:
-        near = self._nearest_pole_image(2, x)
-        if near is not None:
-            return self._pole_window_value(2, x, near[0], near[1], "g")
-        return self._flip(2, x) * self._g_value(x) * math.exp(-self.log_weight(2, x))
-
-    def _psi1p_raw(self, x: float) -> float:
+    def _minus_raw(self, x: float):
+        """(psi0, psi1, psi2) at x in [0, L), unit constants; psi1 and psi2
+        share one chain evaluation."""
+        chain = functools.cache(lambda: self.sys.chain(x))
         return (
-            math.sqrt(2.0)
-            * self.sys.pair.eps0
-            * self._flip(1, x)
-            * math.exp(-self.log_weight(1, x))
+            self._raw_state(0, x, "w0", lambda: 1.0),
+            self._raw_state(1, x, "wp", lambda: chain().wp.value),
+            self._raw_state(2, x, "g", lambda: chain().g.value),
         )
 
-    def _psi2p_raw(self, x: float) -> float:
-        near = self._nearest_pole_image(2, x)
-        if near is not None:
-            v = self._pole_window_value(2, x, near[0], near[1], "h")
-        else:
-            v = self._flip(2, x) * self._h_value(x) * math.exp(-self.log_weight(2, x))
-        return v / math.sqrt(2.0)
+    def _plus_raw(self, x: float):
+        """(psi1+, psi2+) at x in [0, L), unit constants."""
+        p1 = self._flip(1, x) * (math.sqrt(2.0) * self.sys.pair.eps0) * math.exp(-self.log_weight(1, x))
+        p2 = self._raw_state(2, x, "h", lambda: self.sys.chain(x).h.value)
+        return p1, p2 / math.sqrt(2.0)
 
-    def _wrap_sign(self, values_fn) -> float:
-        """Continuation sign across the period seam, by cubic extrapolation."""
-        L = self.sys.period
-        d = L / 64.0
-        xs = np.array([d, 2 * d, 3 * d, 4 * d])
-        ys = np.array([values_fn(x) for x in xs])
-        coef = np.polyfit(xs, ys, 3)
-        left_true = float(np.polyval(coef, -d))
-        left_raw = values_fn(L - d)
-        if abs(left_true) < 1e-12 or abs(left_raw) < 1e-12:
-            return 1.0
-        return 1.0 if left_raw / left_true > 0 else -1.0
-
-    def _ensure_wrap_signs(self):
+    def _wrap_signs(self):
+        """Continuation signs of the three lower states across the period
+        seam, by cubic extrapolation."""
         if self.wrap_signs is None:
-            self.wrap_signs = (
-                self._wrap_sign(self._psi0_raw),
-                self._wrap_sign(self._psi1_raw),
-                self._wrap_sign(self._psi2_raw),
-            )
+            L = self.sys.period
+            d = L / 64.0
+            xs = np.array([d, 2 * d, 3 * d, 4 * d])
+            ys = np.array([self._minus_raw(x) for x in xs])
+            signs = []
+            for col, left_raw in zip(ys.T, self._minus_raw(L - d)):
+                left_true = float(np.polyval(np.polyfit(xs, col, 3), -d))
+                if abs(left_true) < 1e-12 or abs(left_raw) < 1e-12:
+                    signs.append(1.0)
+                else:
+                    signs.append(1.0 if left_raw / left_true > 0 else -1.0)
+            self.wrap_signs = tuple(signs)
+        return self.wrap_signs
 
-    def _extend(self, fn, x: float, state: int) -> float:
+    def _per_point(self, x, raw, wrap_index, consts):
+        """Per-point loop: raw values on the reduced point, continued to
+        other periods with the lower states' wrap signs."""
         L = self.sys.period
-        xr = _reduce(x, L)
-        k = round((x - xr) / L)
-        if k == 0:
-            return fn(xr)
-        self._ensure_wrap_signs()
-        return (self.wrap_signs[state] ** int(k)) * fn(xr)
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty((len(consts), xs.size))
+        for k, xi in enumerate(xs.ravel()):
+            xr = _reduce(xi, L)
+            m = int(round((xi - xr) / L))
+            wrap = self._wrap_signs() if m else (1.0, 1.0, 1.0)
+            for j, v in enumerate(raw(xr)):
+                out[j, k] = consts[j] * (wrap[wrap_index[j]] ** m) * v
+        if np.ndim(x) == 0:
+            return tuple(float(row[0]) for row in out)
+        return tuple(row.reshape(np.shape(x)) for row in out)
 
     def psi_minus(self, x, c0: float, c1: float, c2: float):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((3, xs.size))
-        for k, xi in enumerate(xs.ravel()):
-            out[0, k] = c0 * self._extend(self._psi0_raw, xi, 0)
-            out[1, k] = c1 * self._extend(self._psi1_raw, xi, 1)
-            out[2, k] = c2 * self._extend(self._psi2_raw, xi, 2)
-        if np.ndim(x) == 0:
-            return float(out[0, 0]), float(out[1, 0]), float(out[2, 0])
-        shape = np.shape(x)
-        return out[0].reshape(shape), out[1].reshape(shape), out[2].reshape(shape)
+        return self._per_point(x, self._minus_raw, (0, 1, 2), (c0, c1, c2))
 
     def psi_plus(self, x, c1: float, c2: float):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((2, xs.size))
-        for k, xi in enumerate(xs.ravel()):
-            out[0, k] = c1 * self._extend(self._psi1p_raw, xi, 1)
-            out[1, k] = c2 * self._extend(self._psi2p_raw, xi, 2)
-        if np.ndim(x) == 0:
-            return float(out[0, 0]), float(out[1, 0])
-        shape = np.shape(x)
-        return out[0].reshape(shape), out[1].reshape(shape)
+        return self._per_point(x, self._plus_raw, (1, 2), (c1, c2))
 
 
 def construct(u, eps0: float, eps1: float, period: float, validate: bool = True) -> ConstructedSystem:
     """Build the full three-level system from a generating-function expression."""
     return ConstructedSystem(u, eps0, eps1, period, validate=validate)
-
-
-def build_branch_map(u, eps0: float, eps1: float, period: float) -> BranchMap:
-    return construct(u, eps0, eps1, period).branch_map
-
-
-def w_plus(x: float, system: ConstructedSystem, sign: int | None = None) -> jets.Jet:
-    return system.w_plus(x, sign)
-
-
-def w_plus_tilde(x: float, system: ConstructedSystem, sign: int | None = None) -> jets.Jet:
-    return system.w_plus_tilde(x, sign)
-
-
-def superpotentials(x: float, system: ConstructedSystem, sign: int | None = None):
-    return system.superpotentials(x, sign)
-
-
-def potentials(x: float, system: ConstructedSystem, sign: int | None = None):
-    return system.potentials(x, sign)
-
-
-def wavefunctions_minus(x, system: ConstructedSystem, c0: float = 1.0, c1: float = 1.0, c2: float = 1.0):
-    return system.wavefunctions_minus(x, c0, c1, c2)
-
-
-def wavefunctions_plus(x, system: ConstructedSystem, c1: float = 1.0, c2: float = 1.0):
-    return system.wavefunctions_plus(x, c1, c2)
-
-
-def integrate_superpotential(i: int, a: float, b: float, system: ConstructedSystem) -> float:
-    return system.integrate_superpotential(i, a, b)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qesforge import susy
+from qesforge import expr
 from qesforge.errors import (
     BranchInconsistencyError,
     InadmissibleInputError,
@@ -18,7 +18,7 @@ from qesforge.errors import (
     UnremovablePoleError,
     VplusPoleError,
 )
-from qesforge.susy import build_branch_map, construct
+from qesforge.susy import construct
 
 TWO_PI = 2.0 * math.pi
 RAZAVY = "4*eps0*eps1*sin(x)^2"
@@ -100,12 +100,6 @@ def test_branch_map_frozen(razavy1):
     assert bm.sign_at(0.5) == 1
     assert bm.sign_at(4.0) == -1
     assert bm.sign_at(0.5 + TWO_PI) == 1  # periodic lookup
-
-
-def test_build_branch_map_matches_system(razavy1):
-    bm = build_branch_map(RAZAVY, 1.0, 0.5, TWO_PI)
-    assert np.allclose(bm.breakpoints, razavy1.branch_map.breakpoints, atol=1e-9)
-    assert tuple(bm.signs) == tuple(razavy1.branch_map.signs)
 
 
 def test_patch_kinds_razavy(razavy1):
@@ -356,14 +350,68 @@ def test_wrap_periodicity(razavy1):
 
 def test_seam_continuity(razavy1, beta_b0):
     # patch-local series and the direct stable form must agree where the
-    # evaluation routes hand over
+    # evaluation routes hand over, for every chain member and its slope
     for system in (razavy1, beta_b0):
         for patch in system.patches:
             r = patch.eval_halfwidth
             for side in (+1, -1):
-                inner = system.w_plus(patch.x + side * r * (1.0 - 1e-7)).value
-                outer = system.w_plus(patch.x + side * r * (1.0 + 1e-7)).value
-                assert inner == pytest.approx(outer, abs=1e-6 * max(1.0, abs(inner)))
+                inner = system.chain(patch.x + side * r * (1.0 - 1e-7))
+                outer = system.chain(patch.x + side * r * (1.0 + 1e-7))
+                for a, b in zip(inner, outer):
+                    for k in (0, 1):
+                        want = a.derivative(k)
+                        assert b.derivative(k) == pytest.approx(want, abs=1e-6 * max(1.0, abs(want)))
+
+
+def test_log_weight_periodic(razavy1, beta_b0):
+    # the pole-regularized integral of W_i over a whole period vanishes
+    for system in (razavy1, beta_b0):
+        L = system.period
+        for i in range(3):
+            for x in (0.4, 1.0, 2.6, 3.9, 5.5):
+                base = system.log_weight(i, x)
+                for shift in (L, -L):
+                    assert system.log_weight(i, x + shift) == pytest.approx(base, rel=1e-9)
+
+
+@pytest.fixture
+def eval_jet_calls(monkeypatch):
+    """Base points of every expr.eval_jet call made during the test."""
+    calls = []
+    original = expr.eval_jet
+
+    def counting(e, x0, params):
+        calls.append(x0)
+        return original(e, x0, params)
+
+    monkeypatch.setattr(expr, "eval_jet", counting)
+    return calls
+
+
+def test_one_u_jet_per_point(beta_b0, eval_jet_calls):
+    # away from patch windows and pole images every evaluator reads one
+    # chain, built from a single jet of U
+    xs = clean_points(beta_b0, 40)
+    beta_b0.wavefunctions_minus(xs[0])  # assemble the tables first
+    evaluators = {
+        "psi-": lambda: beta_b0.wavefunctions_minus(np.array(xs)),
+        "psi+": lambda: beta_b0.wavefunctions_plus(np.array(xs)),
+        "V": lambda: [beta_b0.potentials(x) for x in xs],
+        "W": lambda: [beta_b0.superpotentials(x) for x in xs],
+    }
+    for name, run in evaluators.items():
+        eval_jet_calls.clear()
+        run()
+        assert len(eval_jet_calls) == len(xs), name
+
+
+def test_assembly_samples_each_node_once(eval_jet_calls):
+    # the three chain members share their Chebyshev samples
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI, validate=False)
+    eval_jet_calls.clear()
+    system._ensure_assembly()
+    assert eval_jet_calls
+    assert len(set(eval_jet_calls)) == len(eval_jet_calls)
 
 
 def test_state_continuity_at_breakpoints(razavy1):
@@ -495,22 +543,7 @@ def test_vplus_pole_flag_raises(touch):
     touch.potentials(patch.x)  # healthy again
 
 
-# -- module-level wrappers ---------------------------------------------------
-
-
-def test_module_wrappers_agree(razavy1):
-    x = 1.1
-    assert susy.w_plus(x, razavy1).value == razavy1.w_plus(x).value
-    assert susy.w_plus_tilde(x, razavy1).value == razavy1.w_plus_tilde(x).value
-    mw = susy.superpotentials(x, razavy1)
-    sw = razavy1.superpotentials(x)
-    assert [j.value for j in mw] == [j.value for j in sw]
-    assert susy.potentials(x, razavy1) == razavy1.potentials(x)
-    assert susy.wavefunctions_minus(x, razavy1) == razavy1.wavefunctions_minus(x)
-    assert susy.wavefunctions_plus(x, razavy1) == razavy1.wavefunctions_plus(x)
-    assert susy.integrate_superpotential(0, 0.2, 1.7, razavy1) == razavy1.integrate_superpotential(
-        0, 0.2, 1.7
-    )
+# -- evaluation -------------------------------------------------------------
 
 
 def test_array_evaluation_matches_scalars(razavy1):
