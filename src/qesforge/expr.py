@@ -274,10 +274,6 @@ def eval_jet(e: Expression, x0: float, params: dict) -> jets.Jet:
     return _eval(e.root, jets.variable(x0), params, lib)
 
 
-def derivative_at(e: Expression, x0: float, k: int, params: dict) -> float:
-    return eval_jet(e, x0, params).derivative(k)
-
-
 _ARRAY_LIB = {
     "const": lambda v: v,
     "div": np.divide,

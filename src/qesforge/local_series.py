@@ -177,10 +177,6 @@ def taylor(x0: float, coeffs) -> LaurentPoly:
     return LaurentPoly(x0, 0, tuple(float(c) for c in coeffs))
 
 
-def from_jet(jet) -> LaurentPoly:
-    return LaurentPoly(jet.x0, 0, tuple(jet.coeffs))
-
-
 def discriminant_poly(u, eps0: float, eps1: float) -> list:
     """Taylor coefficients of S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1).
 

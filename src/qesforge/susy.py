@@ -234,13 +234,14 @@ class ConstructedSystem:
 
     def _classify_points(self):
         L = self.period
-        _, sv = validator.discriminant_samples(self.u)
-        self._s_samples = sv
-        self._s_scale = max(float(np.max(np.abs(sv))), 1.0)
         if self.report is not None:
+            sv = self.report.s_samples
             zero_records = self.report.zeros
         else:
+            _, sv = validator.discriminant_samples(self.u)
             zero_records = validator.locate_zeros(self.u, self.pair.eps0, self.pair.eps1, L)
+        self._s_samples = sv
+        self._s_scale = max(float(np.max(np.abs(sv))), 1.0)
         pts = []
         for z in zero_records:
             if z.order == 1:
@@ -473,8 +474,10 @@ class ConstructedSystem:
                             patch.x, "branch type changes across a point that is not a breakpoint"
                         )
 
-    def _active_local(self, patch: _Patch, side: int) -> _Chain:
-        sign = self.branch_map.sign_at(patch.x + side * 0.5 * self.patch_halfwidth)
+    def _active_local(self, patch: _Patch, side: int, sign: int | None = None) -> _Chain:
+        """Local chain on one side of a patch, on the sign-map branch half a window out."""
+        if sign is None:
+            sign = self.branch_map.sign_at(patch.x + side * 0.5 * self.patch_halfwidth)
         return patch.local(side, sign)
 
     def _register_poles(self):
@@ -498,7 +501,7 @@ class ConstructedSystem:
                             raise PatchFailureError(
                                 patch.x, f"{name} residue {res:.8g} is not an integer"
                             )
-                        self.poles[name].append((patch.x, float(round(res))))
+                        self.poles[name].append((patch.x, int(round(res))))
 
     def _verify_oddness(self):
         L, xm = self.period, self.midpoint
@@ -541,10 +544,6 @@ class ConstructedSystem:
             if abs(t) <= p.eval_halfwidth:
                 return p, t
         return None, 0.0
-
-    def _patch_sign(self, patch: _Patch, t: float) -> int:
-        off = t if t != 0.0 else 0.5 * self.patch_halfwidth
-        return self.branch_map.sign_at(patch.x + off)
 
     def _w_direct(self, u: jets.Jet, sign: int) -> jets.Jet:
         """Stable-form W+ on the given branch, from the jet of U at a point."""
@@ -593,10 +592,7 @@ class ConstructedSystem:
             if sign is None:
                 sign = self.branch_map.sign_at(xr)
             return self._w_direct(self.u.jet(xr), sign)
-        if sign is None:
-            sign = self._patch_sign(patch, t)
-        side = +1 if t >= 0.0 else -1
-        return self._local_jet(patch.local(side, sign).wp, t, xr)
+        return self._local_jet(self._active_local(patch, +1 if t >= 0.0 else -1, sign).wp, t, xr)
 
     def chain(self, x: float, sign: int | None = None) -> _Chain:
         """Jets of every chain member at x (sign-map branch unless overridden);
@@ -604,10 +600,8 @@ class ConstructedSystem:
         xr = _reduce(x, self.period)
         patch, t = self._near_patch(xr)
         if patch is not None:
-            if sign is None:
-                sign = self._patch_sign(patch, t)
-            side = +1 if t >= 0.0 else -1
-            return _Chain(*(self._local_jet(lp, t, xr) for lp in patch.local(side, sign)))
+            loc = self._active_local(patch, +1 if t >= 0.0 else -1, sign)
+            return _Chain(*(self._local_jet(lp, t, xr) for lp in loc))
         if sign is None:
             sign = self.branch_map.sign_at(xr)
         u = self.u.jet(xr)
@@ -774,7 +768,19 @@ def _cheb_fit(f, n: int, lo: float, hi: float) -> Chebyshev:
 
 
 class _StateAssembly:
-    """Spectral antiderivative tables and pole bookkeeping for the five states."""
+    """Spectral antiderivative tables and pole bookkeeping for the five states.
+
+    A state is its factor (1, W+, g, h or sqrt(2)*eps0) times the weight
+    w_i(x) = exp(phi_i(xm) - phi_i(x)) * prod ((x - q) / (xm - q))^(-rho) over
+    the pole images (q, rho) of chain i; phi_i integrates the pole-free part
+    of W_i and xm is the half-period point.  The residues rho are integers,
+    so the signed powers carry every sign through a pole.  Inside a pole
+    window the image's power becomes (xm - q)^rho and factor * (x - q)^(-rho)
+    comes from the factor's local series, its valuation shifted by -rho.
+    Across the seam state(x + L) = sigma_i * state(x), sigma_i = (-1)^(sum of
+    rho over a period): W_i is odd about xm, so its principal value over a
+    period vanishes, and the factors are periodic.
+    """
 
     def __init__(self, system: ConstructedSystem):
         self.sys = system
@@ -786,18 +792,18 @@ class _StateAssembly:
         # per smooth segment.
         cuts = sorted(b for b in set(system.branch_map.breakpoints) if 1e-12 < b < L - 1e-12)
         self.seg_bounds = [0.0] + cuts + [L]
-        self.pole_sets = []
         self.images = []
         for name in CHAIN_NAMES:
-            qs = tuple(system.poles[name])
             imgs = []
-            for (q, rho) in qs:
+            for (q, rho) in system.poles[name]:
                 for k in (-1, 0, 1):
                     qi = q + k * L
                     if -0.5 * L <= qi <= 1.5 * L:
                         imgs.append((qi, rho))
-            self.pole_sets.append(qs)
             self.images.append(tuple(imgs))
+        self.wrap = tuple(
+            -1.0 if sum(rho for _, rho in system.poles[name]) % 2 else 1.0 for name in CHAIN_NAMES
+        )
         self.seg_tables = [[] for _ in CHAIN_NAMES]
         self.seg_base = [[] for _ in CHAIN_NAMES]
         acc = [0.0 for _ in CHAIN_NAMES]
@@ -825,7 +831,6 @@ class _StateAssembly:
                 self.seg_base[i].append(acc[i] - float(cheb(a)))
                 acc[i] += float(cheb(b)) - float(cheb(a))
         self.phi_mid = [self._phi(i, self.xm) for i in range(len(CHAIN_NAMES))]
-        self.wrap_signs = None
 
     def _phi(self, i: int, x: float) -> float:
         """Antiderivative of the pole-free part of chain i, from 0 to x."""
@@ -866,103 +871,62 @@ class _StateAssembly:
             phi += rho * (_safe_log(abs(x - q)) - math.log(abs(self.xm - q)))
         return phi
 
-    def _log_weight_excluding(self, i: int, x: float, skip_q: float) -> float:
-        phi = self._phi(i, x) - self.phi_mid[i]
+    def _state(self, i: int, x: float, factor, local_name: str | None = None) -> float:
+        """factor() * w_i(x) at x in [0, L), unit constant; inside a pole-image
+        window of chain i, the local series of local_name stands in for the
+        factor and the image's own power.  A constant factor cancels no pole
+        and takes no local_name."""
+        h = self.sys.patch_halfwidth
+        inside = [(abs(x - q), q, rho) for q, rho in self.images[i] if abs(x - q) <= h]
+        near = min(inside) if local_name and inside else None
+        w = math.exp(self.phi_mid[i] - self._phi(i, x))
         for (q, rho) in self.images[i]:
-            if q == skip_q:
-                phi -= rho * math.log(abs(self.xm - q))
+            if near and q == near[1]:
+                w *= (self.xm - q) ** rho
                 continue
-            phi += rho * (_safe_log(abs(x - q)) - math.log(abs(self.xm - q)))
-        return phi
-
-    def _flip(self, i: int, x: float) -> float:
-        lo, hi = (x, self.xm) if x < self.xm else (self.xm, x)
-        n = 0
-        for (q, rho) in self.pole_sets[i]:
-            if lo < q < hi and (int(round(rho)) % 2) != 0:
-                n += 1
-        return -1.0 if n % 2 else 1.0
-
-    def _nearest_pole_image(self, i: int, x: float):
-        best = None
-        for (q, rho) in self.images[i]:
-            d = abs(x - q)
-            if d <= self.sys.patch_halfwidth and (best is None or d < best[2]):
-                best = (q, rho, d)
-        return best
-
-    def _pole_window_value(self, i_chain: int, x: float, q: float, rho: float, local_name: str) -> float:
-        """flip * (local series with the pole power shifted out) * sign * weight."""
+            r = (x - q) / (self.xm - q)
+            # an exact hit with no window reads the limit: 0, or inf for rho > 0
+            w *= r ** -rho if r != 0.0 or rho < 0 else math.inf
+        if near is None:
+            return factor() * w
+        _, q, rho = near
         sysm = self.sys
-        t = x - q
-        patch, tp = sysm._near_patch(x)
+        patch, t = sysm._near_patch(x)
         if patch is None:
             raise PatchFailureError(q, "pole image lies outside every patch window")
-        side = +1 if tp >= 0.0 else -1
-        lp = getattr(sysm._active_local(patch, side), local_name).structurally_trimmed(1e-12)
-        rho_int = int(round(rho))
-        shifted = local_series.LaurentPoly(lp.x0, lp.valuation - rho_int, lp.coeffs)
-        base = math.exp(-self._log_weight_excluding(i_chain, x, q))
-        sgn = 1.0 if t >= 0.0 else float((-1.0) ** rho_int)
-        val = sysm._local_jet(shifted, tp, x).value
-        # an exact hit takes the right-side limit, so the flip must too
-        probe = x if t != 0.0 else q + 0.5 * sysm.patch_halfwidth
-        return self._flip(i_chain, probe) * sgn * val * base
-
-    def _raw_state(self, i: int, x: float, local_name: str, factor) -> float:
-        """flip * factor() * exp(-log_weight) of chain i, unit constant; near a
-        pole image of chain i, the local series of local_name instead."""
-        near = self._nearest_pole_image(i, x)
-        if near is not None:
-            return self._pole_window_value(i, x, near[0], near[1], local_name)
-        return self._flip(i, x) * factor() * math.exp(-self.log_weight(i, x))
+        lp = getattr(sysm._active_local(patch, +1 if t >= 0.0 else -1), local_name)
+        lp = lp.structurally_trimmed(1e-12)
+        # expanded in the offset itself, so no rounding of patch.x + t enters
+        shifted = local_series.LaurentPoly(0.0, lp.valuation - rho, lp.coeffs)
+        return shifted(t) * w
 
     def _minus_raw(self, x: float):
         """(psi0, psi1, psi2) at x in [0, L), unit constants; psi1 and psi2
         share one chain evaluation."""
         chain = functools.cache(lambda: self.sys.chain(x))
         return (
-            self._raw_state(0, x, "w0", lambda: 1.0),
-            self._raw_state(1, x, "wp", lambda: chain().wp.value),
-            self._raw_state(2, x, "g", lambda: chain().g.value),
+            self._state(0, x, lambda: 1.0),
+            self._state(1, x, lambda: chain().wp.value, "wp"),
+            self._state(2, x, lambda: chain().g.value, "g"),
         )
 
     def _plus_raw(self, x: float):
         """(psi1+, psi2+) at x in [0, L), unit constants."""
-        p1 = self._flip(1, x) * (math.sqrt(2.0) * self.sys.pair.eps0) * math.exp(-self.log_weight(1, x))
-        p2 = self._raw_state(2, x, "h", lambda: self.sys.chain(x).h.value)
+        p1 = self._state(1, x, lambda: math.sqrt(2.0) * self.sys.pair.eps0)
+        p2 = self._state(2, x, lambda: self.sys.chain(x).h.value, "h")
         return p1, p2 / math.sqrt(2.0)
-
-    def _wrap_signs(self):
-        """Continuation signs of the three lower states across the period
-        seam, by cubic extrapolation."""
-        if self.wrap_signs is None:
-            L = self.sys.period
-            d = L / 64.0
-            xs = np.array([d, 2 * d, 3 * d, 4 * d])
-            ys = np.array([self._minus_raw(x) for x in xs])
-            signs = []
-            for col, left_raw in zip(ys.T, self._minus_raw(L - d)):
-                left_true = float(np.polyval(np.polyfit(xs, col, 3), -d))
-                if abs(left_true) < 1e-12 or abs(left_raw) < 1e-12:
-                    signs.append(1.0)
-                else:
-                    signs.append(1.0 if left_raw / left_true > 0 else -1.0)
-            self.wrap_signs = tuple(signs)
-        return self.wrap_signs
 
     def _per_point(self, x, raw, wrap_index, consts):
         """Per-point loop: raw values on the reduced point, continued to
-        other periods with the lower states' wrap signs."""
+        other periods with the chains' wrap signs."""
         L = self.sys.period
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty((len(consts), xs.size))
         for k, xi in enumerate(xs.ravel()):
             xr = _reduce(xi, L)
             m = int(round((xi - xr) / L))
-            wrap = self._wrap_signs() if m else (1.0, 1.0, 1.0)
             for j, v in enumerate(raw(xr)):
-                out[j, k] = consts[j] * (wrap[wrap_index[j]] ** m) * v
+                out[j, k] = consts[j] * (self.wrap[wrap_index[j]] ** m) * v
         if np.ndim(x) == 0:
             return tuple(float(row[0]) for row in out)
         return tuple(row.reshape(np.shape(x)) for row in out)

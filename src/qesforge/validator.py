@@ -20,9 +20,6 @@ FIRST_ORDER = "first_order"
 SECOND_ORDER = "second_order_midpoint"
 FORBIDDEN = "forbidden_higher_order"
 
-RANGE_OK = "range_ok"
-BRANCH_SWITCH = "branch_switch_required"
-
 
 @dataclass(frozen=True)
 class ZeroRecord:
@@ -51,19 +48,14 @@ class AdmissibilityReport:
     s_min: float
     range_ok: bool
     checks: tuple = field(default=())
+    # S on the uniform GRID of discriminant_samples, reused by the construction
+    s_samples: np.ndarray = field(default=None, repr=False, compare=False)
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class VplusRegularity:
-    mode: str
-    b0_points: tuple
-    c0_points: tuple
 
 
 class CompiledU:
@@ -265,22 +257,10 @@ def check_admissibility(u, eps0: float, eps1: float, period: float) -> Admissibi
         s_min=s_min,
         range_ok=range_ok,
         checks=tuple(checks),
+        s_samples=sv,
     )
 
 
 def find_level_crossings(cu: CompiledU, level: float) -> tuple:
     """Points in [0, L) where U crosses or touches the given level."""
     return tuple(_scan_roots(cu, level))
-
-
-def vplus_regularity_mode(u, eps0: float, eps1: float, period: float) -> VplusRegularity:
-    """Whether the upper partner needs branch switching to stay regular.
-
-    U confined to the open strip (-2*eps0, 2*eps1) keeps one root branch
-    regular everywhere; any excursion forces switches at the strip crossings.
-    """
-    cu = u if isinstance(u, CompiledU) else CompiledU(u, eps0, eps1, period)
-    b0 = find_level_crossings(cu, 2.0 * cu.eps1)
-    c0 = find_level_crossings(cu, -2.0 * cu.eps0)
-    mode = RANGE_OK if not b0 and not c0 else BRANCH_SWITCH
-    return VplusRegularity(mode=mode, b0_points=b0, c0_points=c0)

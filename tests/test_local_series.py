@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qesforge import expr, local_series
 from qesforge.local_series import (
     LaurentPoly,
     discriminant_poly,
-    from_jet,
     pole_branches,
     residual_norm,
     taylor,
@@ -168,14 +166,6 @@ def test_discriminant_series_tracks_pointwise_values():
         u, du = u_sin2(x0 + t)
         want = du * du + 4.0 * u * (u + 2.0 * EPS0) * (u - 2.0 * EPS1)
         assert s(x0 + t) == pytest.approx(want, rel=1e-8)
-
-
-def test_from_jet_round_trip():
-    e = expr.parse("4*eps0*eps1*sin(x)^2")
-    jet = expr.eval_jet(e, 0.8, {"eps0": EPS0, "eps1": EPS1})
-    p = from_jet(jet)
-    assert p.valuation == 0
-    assert p(0.83) == pytest.approx(2.0 * math.sin(0.83) ** 2, abs=1e-9)
 
 
 # ------------------------------------------------------------ series branches

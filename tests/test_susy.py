@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qesforge import expr
+from qesforge import expr, validator
 from qesforge.errors import (
     BranchInconsistencyError,
     InadmissibleInputError,
@@ -334,18 +334,38 @@ def test_intertwining(razavy1):
         assert np.max(np.abs(mapped - c * plus)) < 1e-7 * np.max(np.abs(mapped))
 
 
-def test_wrap_periodicity(razavy1):
-    for x in (0.6, 2.9, 5.7):
-        a = razavy1.w_plus(x).value
-        assert razavy1.w_plus(x + TWO_PI).value == pytest.approx(a, rel=1e-9)
-        assert razavy1.w_plus(x - TWO_PI).value == pytest.approx(a, rel=1e-9)
-        base_m = razavy1.wavefunctions_minus(x)
-        base_p = razavy1.wavefunctions_plus(x)
-        for shift in (TWO_PI, -TWO_PI):
-            wrapped_m = razavy1.wavefunctions_minus(x + shift)
-            wrapped_p = razavy1.wavefunctions_plus(x + shift)
-            for a_, b_ in zip(base_m + base_p, wrapped_m + wrapped_p):
-                assert b_ == pytest.approx(a_, rel=1e-9, abs=1e-12)
+def test_wrap_periodicity(razavy1, beta_b0, beta_bnz, touch):
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        L = system.period
+        for x in (0.6, 2.9, 5.7):
+            a = system.w_plus(x).value
+            assert system.w_plus(x + L).value == pytest.approx(a, rel=1e-9)
+            assert system.w_plus(x - L).value == pytest.approx(a, rel=1e-9)
+            base_m = system.wavefunctions_minus(x)
+            base_p = system.wavefunctions_plus(x)
+            for shift in (L, -L):
+                wrapped_m = system.wavefunctions_minus(x + shift)
+                wrapped_p = system.wavefunctions_plus(x + shift)
+                for a_, b_ in zip(base_m + base_p, wrapped_m + wrapped_p):
+                    assert b_ == pytest.approx(a_, rel=1e-9, abs=1e-12)
+
+
+def test_state_continuity_at_pole_windows(razavy1, beta_b0):
+    # psi-1, psi-2 and psi+2 hand over from the weight formula to the
+    # shifted local series where |x - q| = patch_halfwidth
+    for system in (razavy1, beta_b0):
+        h = system.patch_halfwidth
+        states = {
+            "w1": lambda x: system.wavefunctions_minus(x)[1:2],
+            "w2": lambda x: system.wavefunctions_minus(x)[2:] + system.wavefunctions_plus(x)[1:],
+        }
+        for name, read in states.items():
+            for q, _ in system.poles[name]:
+                for side in (+1, -1):
+                    inner = read(q + side * h * (1.0 - 1e-6))
+                    outer = read(q + side * h * (1.0 + 1e-6))
+                    for a, b in zip(inner, outer):
+                        assert b == pytest.approx(a, rel=1e-6)
 
 
 def test_seam_continuity(razavy1, beta_b0):
@@ -403,6 +423,20 @@ def test_one_u_jet_per_point(beta_b0, eval_jet_calls):
         eval_jet_calls.clear()
         run()
         assert len(eval_jet_calls) == len(xs), name
+
+
+def test_validated_build_samples_discriminant_once(monkeypatch):
+    # the admissibility report carries the S samples the construction reads
+    calls = []
+    original = validator.discriminant_samples
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(validator, "discriminant_samples", counting)
+    construct(RAZAVY, 1.0, 0.5, TWO_PI)
+    assert len(calls) == 1
 
 
 def test_assembly_samples_each_node_once(eval_jet_calls):

@@ -10,7 +10,6 @@ from qesforge.validator import (
     discriminant_samples,
     find_level_crossings,
     locate_zeros,
-    vplus_regularity_mode,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -195,25 +194,28 @@ def test_reject_curvature_mismatch():
 # -------------------------------------------------------- partner regularity
 
 
-def test_regularity_mode_confined():
-    v = vplus_regularity_mode("0.1*sin(x)^2", 1.0, 0.5, TWO_PI)
-    assert v.mode == validator.RANGE_OK
-    assert v.b0_points == ()
-    assert v.c0_points == ()
+def test_level_crossings_confined():
+    # U confined to the open strip (-2*eps0, 2*eps1): no edge crossings
+    cu = CompiledU("0.1*sin(x)^2", 1.0, 0.5, TWO_PI)
+    assert find_level_crossings(cu, 2.0 * cu.eps1) == ()
+    assert find_level_crossings(cu, -2.0 * cu.eps0) == ()
+    assert check_admissibility(cu, 1.0, 0.5, TWO_PI).range_ok
 
 
-def test_regularity_mode_branch_switching():
-    v = vplus_regularity_mode(RAZAVY, 1.0, 0.5, TWO_PI)
-    assert v.mode == validator.BRANCH_SWITCH
-    assert len(v.b0_points) == 4
-    assert v.b0_points[0] == pytest.approx(0.25 * math.pi, abs=1e-9)
-    assert v.c0_points == ()
+def test_level_crossings_razavy():
+    cu = CompiledU(RAZAVY, 1.0, 0.5, TWO_PI)
+    upper = find_level_crossings(cu, 2.0 * cu.eps1)
+    assert len(upper) == 4
+    assert upper[0] == pytest.approx(0.25 * math.pi, abs=1e-9)
+    assert find_level_crossings(cu, -2.0 * cu.eps0) == ()
+    assert not check_admissibility(cu, 1.0, 0.5, TWO_PI).range_ok
 
 
 def test_regularity_crossings_scale_with_eps0():
-    v = vplus_regularity_mode(RAZAVY, 0.75, 0.25, TWO_PI)
+    cu = CompiledU(RAZAVY, 0.75, 0.25, TWO_PI)
+    upper = find_level_crossings(cu, 2.0 * cu.eps1)
     z = math.asin(math.sqrt(2.0 / 3.0))
     want = [z, math.pi - z, math.pi + z, TWO_PI - z]
-    assert len(v.b0_points) == 4
-    for g, w in zip(v.b0_points, want):
+    assert len(upper) == 4
+    for g, w in zip(upper, want):
         assert g == pytest.approx(w, abs=1e-9)
