@@ -268,7 +268,10 @@ def _eval(node: Node, x, params, lib):
 
 
 def eval_jet(e: Expression, x0: float, params: dict) -> jets.Jet:
-    """Jet of the represented function at x0 with all parameters bound."""
+    """Jet of the represented function at x0 with all parameters bound.
+
+    x0 may be a 1-D array of points: the AST is then walked once and the
+    result is a batch jet (see ``jets``)."""
     lib = {"const": lambda v: jets.constant(v, x0), "div": lambda a, b: a / b, "pow": lambda a, n: a**n}
     lib.update(jets.FUNCTIONS)
     return _eval(e.root, jets.variable(x0), params, lib)

@@ -227,11 +227,76 @@ def _residual_pole(u, eps0, eps1, p):
     return [a - b for a, b in zip(r, shifted)]
 
 
+PROBES = (0.0, 1.0, -1.0)
+
+
+def _order_residual(u, eps0, eps1, pole: bool):
+    """One order of the residual at the solver's three probes, as fn(wc, k).
+
+    fn(wc, k)[n] equals _residual_taylor(u, eps0, eps1, wc + [PROBES[n]])[k]
+    (_residual_pole when pole) bit for bit.  It forms only the product
+    coefficients order k needs, each summed in _pmul's order; the part of
+    w*w that the probed coefficient does not enter is formed once for all
+    three probes, and the w-free U (U + 2 eps0) product once for every
+    call.  Terms _pmul adds from zero padding are +-0 and leave its sums
+    unchanged, so they are skipped.
+    """
+    n = max(len(u), N_TERMS)
+    u = _pad(u, n)
+    um = list(u)
+    um[0] -= 2.0 * eps1
+    up = list(u)
+    up[0] += 2.0 * eps0
+    if pole:
+        lin = [k * u[k] for k in range(n)]
+        free = [0.0, 0.0] + _pmul(u, up, n)[: n - 2]
+    else:
+        lin = _pad([(k + 1) * u[k + 1] for k in range(n - 1)], n)
+        free = _pmul(u, up, n)
+
+    def fn(wc, k):
+        p = len(wc)
+        head = []  # (w * w)[j] for j < p, free of the probed w[p]
+        for j in range(min(k + 1, p)):
+            acc = 0.0
+            for i in range(j + 1):
+                wi = wc[i]
+                if wi != 0.0:
+                    acc += wi * wc[j - i]
+            head.append(acc)
+        out = []
+        for probe in PROBES:
+            w = wc + [probe]
+            ww = list(head)
+            for j in range(p, k + 1):
+                acc = 0.0
+                for i in range(j - p, p + 1):
+                    wi = w[i]
+                    if wi != 0.0:
+                        acc += wi * w[j - i]
+                ww.append(acc)
+            quad = 0.0
+            for i in range(k + 1):
+                if um[i] != 0.0:
+                    quad += um[i] * ww[k - i]
+            linear = 0.0
+            for i in range(k - p if k > p else 0, k + 1):
+                if lin[i] != 0.0:
+                    linear += lin[i] * w[k - i]
+            out.append((quad + linear) - free[k])
+        return out
+
+    return fn
+
+
 def _solve_tree(res_fn, n_coeffs, max_order, tol):
     """All formal series branches, coefficient by coefficient.
 
-    At each step the next coefficient enters some residual order as a
-    quadratic a*w^2 + b*w + g recovered from evaluations at w = 0, +1, -1.
+    res_fn(wc, k) is order k of the residual of wc extended by each of
+    the probes w = 0, +1, -1 (see _order_residual); only the order under
+    test is ever computed.  At each step the next coefficient enters some
+    residual order as a quadratic a*w^2 + b*w + g recovered from those
+    three evaluations.
     Vacuous orders (a, b, g all negligible) are skipped; a genuinely
     non-negligible g with no w dependence kills the branch; a quadratic with
     two distinct real roots forks it.  Branches whose next coefficient is not
@@ -249,9 +314,7 @@ def _solve_tree(res_fn, n_coeffs, max_order, tol):
             out.append(tuple(wc))
             return
         for order in range(floor, max_order + 1):
-            g = res_fn(wc + [0.0])[order]
-            rp = res_fn(wc + [1.0])[order]
-            rm = res_fn(wc + [-1.0])[order]
+            g, rp, rm = res_fn(wc, order)
             a = 0.5 * (rp + rm) - g
             b = 0.5 * (rp - rm)
             gmax = max(abs(g), abs(rp), abs(rm))
@@ -321,7 +384,7 @@ def taylor_branches(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 4, r
     """
     m = max(len(u), N_TERMS)
     tol = rtol * _residual_scale(u, eps0, eps1)
-    fn = lambda w: _residual_taylor(u, eps0, eps1, w)
+    fn = _order_residual(u, eps0, eps1, pole=False)
     cands = _solve_tree(fn, n_coeffs, m - 2, tol)
     refined = []
     for c in cands:
@@ -337,7 +400,7 @@ def pole_branches(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 5, rto
     """Simple-pole branches (residue -1) of the quadratic at x0."""
     m = max(len(u), N_TERMS)
     tol = rtol * _residual_scale(u, eps0, eps1)
-    fn = lambda p: _residual_pole(u, eps0, eps1, p)
+    fn = _order_residual(u, eps0, eps1, pole=True)
     cands = _solve_tree(fn, n_coeffs, m - 1, tol)
     out = []
     for c in cands:

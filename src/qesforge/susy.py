@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,7 +97,11 @@ class BranchMap:
     breakpoints: tuple
     signs: tuple
 
-    def sign_at(self, x: float) -> int:
+    def sign_at(self, x):
+        """Sign at x, or per point for an array of points."""
+        if isinstance(x, np.ndarray):
+            i = np.searchsorted(self.breakpoints, np.remainder(x, self.period), side="right") - 1
+            return np.asarray(self.signs)[i]  # i = -1 is the last arc, as below
         xr = x % self.period
         i = bisect_right(self.breakpoints, xr) - 1
         if i < 0:
@@ -169,15 +174,21 @@ def stable_discriminant(u_jet: jets.Jet, pair: EnergyPair) -> jets.Jet:
     return up * up + 4.0 * u_jet * (u_jet + 2.0 * pair.eps0) * (u_jet - 2.0 * pair.eps1)
 
 
-def _select_form(u: jets.Jet, up: jets.Jet, sqrt_s: jets.Jet, sign: int, pair: EnergyPair) -> jets.Jet:
-    """Cancellation-free form of the chosen root branch.
+def _product_form(u, up, sqrt_s, sign, pair: EnergyPair):
+    return 2.0 * u * (u + 2.0 * pair.eps0) / (up + sign * sqrt_s)
+
+
+def _root_form(u, up, sqrt_s, sign, pair: EnergyPair):
+    return (-up + sign * sqrt_s) / (2.0 * (u - 2.0 * pair.eps1))
+
+
+def _select_form(u: jets.Jet, up: jets.Jet, sqrt_s: jets.Jet, sign, pair: EnergyPair) -> jets.Jet:
+    """Cancellation-free form of the chosen root branch, point by point.
 
     Both forms are the same root algebraically; the choice keeps the
     denominator (resp. numerator) a same-sign sum.
     """
-    if sign * up.value >= 0.0:
-        return 2.0 * u * (u + 2.0 * pair.eps0) / (up + sign * sqrt_s)
-    return (-up + sign * sqrt_s) / (2.0 * (u - 2.0 * pair.eps1))
+    return jets.piecewise(sign * up.value >= 0.0, _product_form, _root_form, u, up, sqrt_s, sign, pair)
 
 
 class ConstructedSystem:
@@ -504,22 +515,28 @@ class ConstructedSystem:
                         self.poles[name].append((patch.x, int(round(res))))
 
     def _verify_oddness(self):
+        """W+(xm + t) = -W+(xm - t) on 512 probe pairs across the half period.
+
+        A pair is skipped when either point lies in a patch window or
+        |W+| > 1e3 at either; the defect is the largest |W+(a) + W+(b)|
+        against the largest |W+| seen.  Every probe lies inside (0, L) and
+        off the windows, so all are one batch through the stable form,
+        ordered a0, b0, a1, b1, ... as a per-point probe would visit them:
+        a negative discriminant is reported at the same point.
+        """
         L, xm = self.period, self.midpoint
-        vals = []
-        for t in np.linspace(0.0, 0.5 * L, 514)[1:-1]:
-            a, b = xm + t, xm - t
-            if self._near_patch(a)[0] is not None or self._near_patch(b)[0] is not None:
-                continue
-            wa = self.w_plus(a).value
-            wb = self.w_plus(b).value
-            if abs(wa) > 1e3 or abs(wb) > 1e3:
-                continue
-            vals.append((abs(wa + wb), max(abs(wa), abs(wb))))
-        if not vals:
+        t = np.linspace(0.0, 0.5 * L, 514)[1:-1]
+        t = t[(self._near_patches(xm + t)[0] < 0) & (self._near_patches(xm - t)[0] < 0)]
+        x = np.column_stack((xm + t, xm - t)).ravel()
+        w = self._w_direct(self.u.jet(x), self.branch_map.sign_at(x)).value if x.size else x
+        wa, wb = w[0::2], w[1::2]
+        keep = ~((np.abs(wa) > 1e3) | (np.abs(wb) > 1e3))
+        if not keep.any():
             raise BranchInconsistencyError("no usable probes for the oddness check")
-        scale = max(1.0, max(v[1] for v in vals))
-        worst = max(v[0] for v in vals)
-        if worst > 1e-8 * scale:
+        scale = max(1.0, float(np.max(np.maximum(np.abs(wa), np.abs(wb))[keep])))
+        worst = float(np.max(np.abs(wa + wb)[keep]))
+        # a NaN defect fails too
+        if not worst <= 1e-8 * scale:
             raise BranchInconsistencyError(
                 f"W+ is not odd about the half-period point under the accepted sign map "
                 f"(defect {worst:.3e} at scale {scale:.3g})"
@@ -545,8 +562,31 @@ class ConstructedSystem:
                 return p, t
         return None, 0.0
 
-    def _w_direct(self, u: jets.Jet, sign: int) -> jets.Jet:
-        """Stable-form W+ on the given branch, from the jet of U at a point."""
+    def _near_patches(self, xr: np.ndarray):
+        """_near_patch for an array of points already reduced to [0, L):
+        the index into self.patches of each point's window (-1 for none)
+        and its signed offset, by the same two-neighbour rule."""
+        n = len(self.patches)
+        where = np.full(xr.shape, -1)
+        offset = np.zeros(xr.shape)
+        if not n:
+            return where, offset
+        px = np.array(self._patch_xs)
+        half = np.array([p.eval_halfwidth for p in self.patches])
+        i = np.searchsorted(px, xr, side="right")
+        for j in ((i - 1) % n, i % n):
+            t = xr - px[j]
+            t = t - self.period * np.round(t / self.period)
+            hit = (where < 0) & (np.abs(t) <= half[j])
+            where[hit] = j[hit]
+            offset[hit] = t[hit]
+        return where, offset
+
+    def _w_direct(self, u: jets.Jet, sign) -> jets.Jet:
+        """Stable-form W+ on the given branch, from the jet of U at a point
+        (or from a batch jet of U, with one sign per point).  S <= 0 within
+        roundoff is clamped point by point; below it the first offending
+        point raises."""
         up = jets.differentiate(u)
         s = stable_discriminant(u, self.pair)
         scale = (
@@ -554,10 +594,12 @@ class ConstructedSystem:
             + abs(4.0 * u.value * (u.value + 2.0 * self.pair.eps0) * (u.value - 2.0 * self.pair.eps1))
             + 1.0
         )
-        if s.value < -DISC_TOL * scale:
-            raise NegativeDiscriminantError(u.x0, s.value)
-        if s.value <= 0.0:
-            s = jets.Jet(s.x0, (1e-30 * scale,) + s.coeffs[1:])
+        bad = jets.first(s.value < -DISC_TOL * scale)
+        if bad is not None:
+            raise NegativeDiscriminantError(jets.at(u.x0, bad), jets.at(s.value, bad))
+        low = s.value <= 0.0
+        if jets.first(low) is not None:
+            s = jets.Jet(s.x0, (jets.where(low, 1e-30 * scale, s.value),) + s.coeffs[1:])
         return _select_form(u, up, jets.sqrt(s), sign, self.pair)
 
     @staticmethod
@@ -594,18 +636,29 @@ class ConstructedSystem:
             return self._w_direct(self.u.jet(xr), sign)
         return self._local_jet(self._active_local(patch, +1 if t >= 0.0 else -1, sign).wp, t, xr)
 
-    def chain(self, x: float, sign: int | None = None) -> _Chain:
-        """Jets of every chain member at x (sign-map branch unless overridden);
-        local-series backed inside patch windows."""
-        xr = _reduce(x, self.period)
-        patch, t = self._near_patch(xr)
-        if patch is not None:
-            loc = self._active_local(patch, +1 if t >= 0.0 else -1, sign)
-            return _Chain(*(self._local_jet(lp, t, xr) for lp in loc))
+    def _direct_chain(self, xr, sign=None) -> _Chain:
+        """Chain jets from one jet of U, at a reduced point outside every
+        patch window or at a batch of them (one sign per point)."""
         if sign is None:
             sign = self.branch_map.sign_at(xr)
         u = self.u.jet(xr)
         return _chain(self._w_direct(u, sign), u, self.pair, jets.differentiate, lambda j: j)
+
+    def _members(self, x: float, names, sign: int | None = None) -> list:
+        """Jets of the named chain members at x; inside a patch window only
+        their own local series are evaluated."""
+        xr = _reduce(x, self.period)
+        patch, t = self._near_patch(xr)
+        if patch is None:
+            chain = self._direct_chain(xr, sign)
+            return [getattr(chain, name) for name in names]
+        loc = self._active_local(patch, +1 if t >= 0.0 else -1, sign)
+        return [self._local_jet(getattr(loc, name), t, xr) for name in names]
+
+    def chain(self, x: float, sign: int | None = None) -> _Chain:
+        """Jets of every chain member at x (sign-map branch unless overridden);
+        local-series backed inside patch windows."""
+        return _Chain(*self._members(x, _Chain._fields, sign))
 
     def w_plus_tilde(self, x: float, sign: int | None = None) -> jets.Jet:
         return self.chain(x, sign).wt
@@ -622,7 +675,7 @@ class ConstructedSystem:
         patch, t = self._near_patch(xr)
         if patch is not None and abs(t) < 1e-12 * self.period and patch.vplus_pole:
             raise VplusPoleError(patch.x)
-        w0 = self.chain(xr, sign).w0
+        (w0,) = self._members(xr, ("w0",), sign)
         v = w0.value * w0.value
         d = w0.derivative(1)
         return 0.5 * (v - d), 0.5 * (v + d)
@@ -688,7 +741,7 @@ class ConstructedSystem:
                 total += self._integrate_local(win[2], win[3], name, lo, hi)
             else:
                 val, err = quad(
-                    lambda x: getattr(self.chain(x), name).value, lo, hi,
+                    lambda x: self._members(x, (name,))[0].value, lo, hi,
                     epsabs=1e-13, epsrel=1e-13, limit=200,
                 )
                 if err > 1e-10:
@@ -783,7 +836,9 @@ class _StateAssembly:
     """
 
     def __init__(self, system: ConstructedSystem):
-        self.sys = system
+        # the system owns its assembly; a weak link back keeps the pair free
+        # of a reference cycle, so dropping the system frees both at once
+        self.sys = weakref.proxy(system)
         L = system.period
         self.xm = system.midpoint
         # When the root branches carry a midpoint constant (W0 -> +/-B with
@@ -840,26 +895,37 @@ class _StateAssembly:
         return self.seg_base[i][k] + float(self.seg_tables[i][k](xc))
 
     def _regular_samples(self, xs: np.ndarray) -> np.ndarray:
-        """W0, W1, W2 with every registered pole term removed, one row each."""
+        """W0, W1, W2 with every registered pole term removed, one row each.
+
+        xs lie in [0, L].  Points outside every patch window are one batch
+        through the stable form; points inside a window read the patch's
+        local series, less its own pole.  Each point then loses the pole
+        terms of the other images, subtracted in image order.
+        """
         sysm = self.sys
         out = np.empty((len(CHAIN_NAMES), xs.size))
-        for k, x in enumerate(xs):
-            patch, t = sysm._near_patch(x)
-            if patch is None:
-                chain = sysm.chain(x)
-            else:
-                loc = sysm._active_local(patch, +1 if t >= 0.0 else -1)
-                center = x - t
+        window, offset = sysm._near_patches(xs)
+        direct = window < 0
+        if direct.any():
+            xd = xs[direct]
+            chain = sysm._direct_chain(xd)
             for i, name in enumerate(CHAIN_NAMES):
-                if patch is None:
-                    v = getattr(chain, name).value
-                else:
-                    lp = getattr(loc, name).structurally_trimmed(1e-12)
-                    if lp.valuation < 0:
-                        lp = lp.regular_part()
-                    v = float(lp(lp.x0 + t))
+                v = getattr(chain, name).value
                 for (q, rho) in self.images[i]:
-                    if patch is not None and abs(q - center) < 1e-9:
+                    v = v - rho / (xd - q)
+                out[i, direct] = v
+        for k in np.flatnonzero(~direct):
+            x, t = xs[k], offset[k]
+            patch = sysm.patches[window[k]]
+            loc = sysm._active_local(patch, +1 if t >= 0.0 else -1)
+            center = x - t
+            for i, name in enumerate(CHAIN_NAMES):
+                lp = getattr(loc, name).structurally_trimmed(1e-12)
+                if lp.valuation < 0:
+                    lp = lp.regular_part()
+                v = float(lp(lp.x0 + t))
+                for (q, rho) in self.images[i]:
+                    if abs(q - center) < 1e-9:
                         continue  # own pole handled by the series split
                     v -= rho / (x - q)
                 out[i, k] = v
@@ -902,18 +968,18 @@ class _StateAssembly:
 
     def _minus_raw(self, x: float):
         """(psi0, psi1, psi2) at x in [0, L), unit constants; psi1 and psi2
-        share one chain evaluation."""
-        chain = functools.cache(lambda: self.sys.chain(x))
+        share one evaluation of their factors."""
+        factors = functools.cache(lambda: self.sys._members(x, ("wp", "g")))
         return (
             self._state(0, x, lambda: 1.0),
-            self._state(1, x, lambda: chain().wp.value, "wp"),
-            self._state(2, x, lambda: chain().g.value, "g"),
+            self._state(1, x, lambda: factors()[0].value, "wp"),
+            self._state(2, x, lambda: factors()[1].value, "g"),
         )
 
     def _plus_raw(self, x: float):
         """(psi1+, psi2+) at x in [0, L), unit constants."""
         p1 = self._state(1, x, lambda: math.sqrt(2.0) * self.sys.pair.eps0)
-        p2 = self._state(2, x, lambda: self.sys.chain(x).h.value, "h")
+        p2 = self._state(2, x, lambda: self.sys._members(x, ("h",))[0].value, "h")
         return p1, p2 / math.sqrt(2.0)
 
     def _per_point(self, x, raw, wrap_index, consts):

@@ -150,3 +150,35 @@ def test_all_functions_parse_and_evaluate():
     for name, fn in expected.items():
         e = expr.parse(f"{name}(x)")
         assert expr.eval_jet(e, x0, {}).value == pytest.approx(fn(x0), rel=1e-15)
+
+
+DETUNED_U = "4*eps0*eps1*sin(x)^2*((1-0.6)+0.6*cos(2*x))"
+BATCH_X = np.random.default_rng(3).uniform(-1.0, 7.0, 256)
+
+
+def _coeff_rows(e, params, batch):
+    if batch:
+        jet = expr.eval_jet(e, BATCH_X, params)
+        return np.array([np.broadcast_to(c, BATCH_X.shape) for c in jet.coeffs])
+    return np.array([expr.eval_jet(e, float(x), params).coeffs for x in BATCH_X]).T
+
+
+@pytest.mark.parametrize("source", [RAZAVY_U, DETUNED_U])
+def test_eval_jet_batch_matches_points(source):
+    # one walk of the AST over 256 points reproduces every scalar jet
+    e = expr.parse(source)
+    params = {"eps0": 2.8, "eps1": 0.5}
+    assert np.array_equal(_coeff_rows(e, params, True), _coeff_rows(e, params, False))
+
+
+def test_eval_jet_batch_exp_family(monkeypatch):
+    # numpy's exp, sinh and cosh may round differently from math's (their
+    # per-function bound is in test_jets); with the same elementary
+    # functions on both paths the batch is exact
+    from qesforge import jets
+
+    e = expr.parse("eps0*exp(-cos(2*x)) - cosh(sin(x)) + eps1*sinh(x)")
+    params = {"eps0": 2.8, "eps1": 0.5}
+    batch = _coeff_rows(e, params, True)
+    monkeypatch.setattr(jets, "_lib", lambda v: np)
+    assert np.array_equal(batch, _coeff_rows(e, params, False))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qesforge import jets
@@ -134,3 +135,100 @@ def test_derivative_factorial_scaling():
     for k in range(jets.N_COEFF):
         assert j.derivative(k) == pytest.approx(1.0, rel=1e-14)
         assert j.coeffs[k] == pytest.approx(1.0 / math.factorial(k), rel=1e-14)
+
+
+# -- batches of points ---------------------------------------------------------
+
+BATCH_X = np.random.default_rng(7).uniform(-2.0, 2.0, 257)
+
+# (name, jet function, reference): each function runs once on the whole
+# batch and once per point.  With no reference the two must be equal; where
+# numpy's exp, sinh or cosh enter they may round differently from math's,
+# and the recurrences carry that last bit into every coefficient, so the
+# bound is 4 ulp of the reference jet's largest coefficient at the point.
+# tanh = sinh/cosh scales its operands' differences by cosh, hence cosh.
+BATCH_CASES = [
+    ("add", lambda x: x + jets.sin(x), None),
+    ("radd", lambda x: 2.5 + x, None),
+    ("sub", lambda x: jets.cos(x) - x, None),
+    ("rsub", lambda x: 1.0 - x, None),
+    ("neg", lambda x: -jets.sin(x), None),
+    ("mul", lambda x: jets.sin(x) * jets.cos(x), None),
+    ("mul_constant", lambda x: jets.constant(3.0, x.x0) * jets.sin(x), None),
+    ("mul_scalar", lambda x: 0.7 * x, None),
+    ("mul_per_point", lambda x: np.sign(x.value) * jets.sin(x), None),
+    ("div", lambda x: jets.sin(x) / (2.0 + jets.cos(x)), None),
+    ("rdiv", lambda x: 1.0 / (3.0 + x), None),
+    ("pow", lambda x: (x + 0.5) ** 5, None),
+    ("negative_pow", lambda x: (3.0 + x) ** -3, None),
+    # a result shares coefficient arrays with its operands; reading an
+    # operand again catches a recurrence that writes into them
+    ("div_keeps_operands", lambda x: (lambda n: n / (2.0 + jets.cos(x)) + n)(jets.sin(x) - 1.0), None),
+    ("sqrt_keeps_operand", lambda x: (lambda v: jets.sqrt(v) + v)(3.0 + jets.sin(x)), None),
+    ("differentiate", lambda x: jets.differentiate(jets.sin(x) * x, 2), None),
+    ("sin", jets.sin, None),
+    ("cos", jets.cos, None),
+    ("tan", lambda x: jets.tan(0.5 * x), None),
+    ("sqrt", lambda x: jets.sqrt(3.0 + x), None),
+    ("exp", jets.exp, jets.exp),
+    ("sinh", jets.sinh, jets.sinh),
+    ("cosh", jets.cosh, jets.cosh),
+    ("tanh", jets.tanh, jets.cosh),
+]
+
+
+def _coeff_rows(fn, x, batch):
+    """Coefficients of fn over the points x, one row per order."""
+    if batch:
+        jet = fn(jets.variable(x))
+        assert np.shape(jet.x0) == x.shape
+        return np.array([np.broadcast_to(c, x.shape) for c in jet.coeffs])
+    return np.array([fn(jets.variable(float(x0))).coeffs for x0 in x]).T
+
+
+@pytest.mark.parametrize("name, fn, reference", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_batch_matches_scalar_jets(name, fn, reference):
+    got = _coeff_rows(fn, BATCH_X, batch=True)
+    want = _coeff_rows(fn, BATCH_X, batch=False)
+    if reference is None:
+        assert np.array_equal(got, want), name
+    else:
+        scale = np.max(np.abs(_coeff_rows(reference, BATCH_X, batch=False)), axis=0)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale)), name
+
+
+def test_batch_domain_error_reports_first_point():
+    x = np.array([0.5, 1.0, -1.0, 2.0, -3.0])
+    with pytest.raises(DomainEvaluationError) as exc:
+        jets.sqrt(jets.variable(x))
+    assert exc.value.x0 == -1.0
+    with pytest.raises(DomainEvaluationError) as exc:
+        jets.constant(1.0, x) / (jets.variable(x) - 1.0)
+    assert exc.value.x0 == 1.0
+
+
+def test_batch_base_point_mismatch():
+    with pytest.raises(ValueError):
+        jets.variable(np.array([0.0, 1.0])) + jets.variable(np.array([0.0, 2.0]))
+
+
+def test_piecewise_runs_each_branch_on_its_points():
+    x = jets.variable(np.array([-2.0, 0.5, -0.25, 3.0]))
+    seen = []
+
+    def inverse(j):
+        seen.append(j.x0)
+        return 1.0 / j
+
+    def doubled(j):
+        seen.append(j.x0)
+        return 2.0 * j
+
+    got = jets.piecewise(x.value < 0.0, inverse, doubled, x)
+    assert [list(s) for s in seen] == [[-2.0, -0.25], [0.5, 3.0]]
+    for i, x0 in enumerate(x.x0):
+        want = inverse(jets.variable(x0)) if x0 < 0.0 else doubled(jets.variable(x0))
+        assert [c[i] for c in got.coeffs] == list(want.coeffs)
+    # a scalar condition picks one branch
+    one = jets.variable(0.5)
+    assert jets.piecewise(False, inverse, doubled, one).coeffs == doubled(one).coeffs

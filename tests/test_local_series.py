@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from qesforge import local_series
 from qesforge.local_series import (
     LaurentPoly,
     discriminant_poly,
@@ -301,3 +303,21 @@ def test_longer_input_extends_trustworthy_orders():
     probes = (-0.01, 0.006, 0.01)
     for b in long:
         assert match_error(b, branch_roots, probes) < 1e-7
+
+
+@pytest.mark.parametrize("pole", [False, True])
+def test_order_residual_matches_full_residual(pole):
+    # the solver's one-order residual at each probe is the full residual's
+    # entry, bit for bit
+    full = local_series._residual_pole if pole else local_series._residual_taylor
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.choice((7, 12, 18))
+        u = [rng.uniform(-3.0, 3.0) if rng.random() > 0.2 else 0.0 for _ in range(n)]
+        eps0, eps1 = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+        wc = [rng.uniform(-5.0, 5.0) if rng.random() > 0.2 else 0.0 for _ in range(rng.randint(0, 15))]
+        fn = local_series._order_residual(u, eps0, eps1, pole)
+        for k in range(n):
+            got = fn(wc, k)
+            for probe, value in zip(local_series.PROBES, got):
+                assert value.hex() == full(u, eps0, eps1, wc + [probe])[k].hex()

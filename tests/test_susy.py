@@ -5,15 +5,18 @@ Frozen numbers are either hand-derived from the branch quadratic
 (U - 2*eps1) W^2 + U' W - U (U + 2*eps0) = 0 or checked against the known
 closed forms of the trigonometric double-well member (eps0 = 1)."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from qesforge import expr, validator
+from qesforge import expr, susy, validator
 from qesforge.errors import (
     BranchInconsistencyError,
     InadmissibleInputError,
+    NegativeDiscriminantError,
     PatchFailureError,
     UnremovablePoleError,
     VplusPoleError,
@@ -439,13 +442,111 @@ def test_validated_build_samples_discriminant_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_assembly_samples_each_node_once(eval_jet_calls):
-    # the three chain members share their Chebyshev samples
+def test_assembly_samples_each_node_once(eval_jet_calls, monkeypatch):
+    # the three chain members share their Chebyshev samples: the batched U
+    # jets cover every node outside the patch windows exactly once
+    nodes = []
+    original = susy._cheb_fit
+
+    def recording(f, n, lo, hi):
+        def sample(xv):
+            nodes.extend(xv.tolist())
+            return f(xv)
+
+        return original(sample, n, lo, hi)
+
+    monkeypatch.setattr(susy, "_cheb_fit", recording)
     system = construct(RAZAVY, 1.0, 0.5, TWO_PI, validate=False)
     eval_jet_calls.clear()
     system._ensure_assembly()
-    assert eval_jet_calls
-    assert len(set(eval_jet_calls)) == len(eval_jet_calls)
+    seen = np.concatenate([np.atleast_1d(x0) for x0 in eval_jet_calls]).tolist()
+    assert len(set(seen)) == len(seen)
+    off_window = {x for x in nodes if system._near_patch(x)[0] is None}
+    assert off_window and set(seen) == off_window
+
+
+def test_batched_window_lookup_matches_points(razavy1, beta_b0, beta_bnz, touch):
+    # the batch paths split window points from direct ones exactly as the
+    # per-point lookup does, edges of every window included
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        L = system.period
+        xs = [(k + 0.5) / 997 * L for k in range(997)]
+        for p in system.patches:
+            for f in (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+                xs += [p.x + f * p.eval_halfwidth, p.x - f * p.eval_halfwidth]
+        xs = np.array([x % L for x in xs])
+        where, offset = system._near_patches(xs)
+        for x, j, t in zip(xs, where, offset):
+            patch, want = system._near_patch(x)
+            assert (j < 0) == (patch is None)
+            if patch is not None:
+                assert system.patches[j] is patch and t == want
+
+
+def test_batched_chain_matches_points(razavy1, beta_b0, beta_bnz, touch):
+    # one batch through the stable form reproduces every per-point chain jet
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        xs = clean_points(system)
+        batch = system._direct_chain(np.array(xs))
+        for k, x in enumerate(xs):
+            for got, want in zip(batch, system.chain(x)):
+                assert [float(np.broadcast_to(c, len(xs))[k]) for c in got.coeffs] == list(want.coeffs)
+
+
+def test_oddness_probe_reports_negative_discriminant_like_scalar_probe():
+    # S < 0 only part-way through the probe order; the batched probe must
+    # name the point a per-point probe (a0, b0, a1, b1, ...) meets first
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI, validate=False)
+    system.u = validator.CompiledU("2*sin(x)^2 + 0.05*cos(x)", 1.0, 0.5, TWO_PI)
+    xm = system.midpoint
+    first = None
+    for t in np.linspace(0.0, 0.5 * TWO_PI, 514)[1:-1]:
+        a, b = xm + t, xm - t
+        if system._near_patch(a)[0] is not None or system._near_patch(b)[0] is not None:
+            continue
+        try:
+            system.w_plus(a)
+            system.w_plus(b)
+        except NegativeDiscriminantError as exc:
+            first = exc
+            break
+    assert first is not None and abs(first.x - xm) > 1.0
+    with pytest.raises(NegativeDiscriminantError) as got:
+        system._verify_oddness()
+    assert (got.value.x, got.value.value) == (first.x, first.value)
+
+
+def test_in_window_potentials_read_one_series(beta_b0, monkeypatch):
+    # V needs W0 alone: inside a window no other member's series is evaluated
+    calls = []
+    original = susy.ConstructedSystem._local_jet
+
+    def counting(lp, t, x):
+        calls.append(lp)
+        return original(lp, t, x)
+
+    monkeypatch.setattr(susy.ConstructedSystem, "_local_jet", staticmethod(counting))
+    for patch in beta_b0.patches:
+        calls.clear()
+        beta_b0.potentials(patch.x + 0.5 * patch.eval_halfwidth)
+        assert len(calls) == 1, patch.kind
+
+
+def test_dropped_system_is_freed_without_cycle_collection():
+    # the system and its state assembly form no reference cycle, so
+    # reference counting alone frees them
+    gc.disable()
+    try:
+        system = construct(DETUNED, 2.8, 0.5, TWO_PI)
+        system.wavefunctions_minus(np.array([0.5, 2.0, math.pi]))
+        system.wavefunctions_plus(1.0)
+        system.potentials(1.0)
+        system.integrate_superpotential(1, 0.1, 3.0)
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_state_continuity_at_breakpoints(razavy1):
