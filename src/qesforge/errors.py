@@ -97,24 +97,3 @@ class QuadratureNonconvergenceError(QesError):
             f"quadrature over [{a:.12g}, {b:.12g}] error estimate {estimate:.3e} > {tol:.1e}"
         )
 
-
-class EigensolverNonConvergenceError(QesError):
-    """The dense symmetric eigensolver failed to converge."""
-
-
-class AmbiguousNodeError(QesError):
-    """A near-zero plateau too wide to count as a single node."""
-
-    def __init__(self, fraction: float):
-        super().__init__(
-            f"near-zero plateau spans {100 * fraction:.1f}% of the period; node count ambiguous"
-        )
-        self.fraction = fraction
-
-
-class ReferenceDenominatorZeroError(QesError):
-    """A closed-form reference denominator vanishes at the requested point."""
-
-    def __init__(self, x: float, which: str):
-        super().__init__(f"reference denominator for {which} vanishes at x = {x:.12g}")
-        self.x = x

@@ -16,7 +16,6 @@ truncated series type: patches apply it once to their Laurent series, and
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from bisect import bisect_right
@@ -50,6 +49,7 @@ CHEB_DEGREE = 512
 CHEB_DEGREE_MAX = 8192
 CHEB_TAIL_REL = 1e-10
 CHAIN_NAMES = ("w0", "w1", "w2")
+BATCH_MIN = 12  # state batches below this many points run on Python floats
 
 # Length of the high-order local Taylor data for U (from its Fourier modes)
 # and of the series branches solved from it.
@@ -121,6 +121,12 @@ class _Chain(NamedTuple):
     h: object
 
 
+def _w0_w1(wp, pair: EnergyPair, d, cancel):
+    """W0 and W1 of one W+ branch, the chain step that needs no U (see _chain)."""
+    diff0 = cancel(d(wp) - 2.0 * pair.eps0) / wp
+    return (wp - diff0) * 0.5, (wp + diff0) * 0.5
+
+
 def _chain(wp, u, pair: EnergyPair, d, cancel) -> _Chain:
     """The chain of one W+ branch, over jets or Laurent series alike.
 
@@ -128,13 +134,10 @@ def _chain(wp, u, pair: EnergyPair, d, cancel) -> _Chain:
     expansion point, which must happen before dividing or roundoff remnants
     turn into spurious pole terms downstream.
     """
-    e0, e1 = pair.eps0, pair.eps1
-    diff0 = cancel(d(wp) - 2.0 * e0) / wp
-    w0 = (wp - diff0) * 0.5
-    w1 = (wp + diff0) * 0.5
+    w0, w1 = _w0_w1(wp, pair, d, cancel)
     wt = cancel(u) / wp
     wt_d = d(wt)
-    diff2 = cancel(wt_d - 2.0 * e1) / wt
+    diff2 = cancel(wt_d - 2.0 * pair.eps1) / wt
     w2 = (wt + diff2) * 0.5
     g = (w0 + w2) * wt - wt_d
     h = d(g) - g * (w2 - w0)
@@ -148,20 +151,23 @@ class _Patch:
         self.x = x
         self.kind = kind
         self.u_jet = u_jet
-        self.branches = {}  # (side, sign) -> _Chain of LaurentPoly or UnremovablePoleError
+        self.branches = {}  # (side, sign) -> _Chain of LaurentPoly, or why its pole cannot cancel
         self.vplus_pole = False
         self.eval_halfwidth = 0.0
 
     def local(self, side: int, sign: int) -> _Chain:
-        # a combination whose chain pole cannot cancel is stored as the
-        # error itself: harmless unless evaluation actually lands on it
+        # a fresh error per raise: a stored one's traceback keeps the system alive
         got = self.branches[(side, sign)]
-        if isinstance(got, UnremovablePoleError):
-            raise got
+        if isinstance(got, str):
+            raise UnremovablePoleError(self.x, got)
         return got
 
 
-def _reduce(x: float, period: float) -> float:
+def _reduce(x, period: float):
+    """x modulo the period, into [0, period]; per point for an array."""
+    if isinstance(x, np.ndarray):
+        xr = np.fmod(x, period)
+        return np.where(xr < 0.0, xr + period, xr)
     xr = math.fmod(float(x), period)
     if xr < 0.0:
         xr += period
@@ -454,7 +460,7 @@ class ConstructedSystem:
                     if best_err > SEAM_TOL * ref:
                         raise SeamMismatchError(xs, best_err / ref, SEAM_TOL)
                     # a branch vanishing with a slope other than +-2*eps0 leaves
-                    # a chain pole that cannot cancel; it is stored as the error
+                    # a chain pole that cannot cancel; the reason is stored
                     wpt = best.structurally_trimmed(1e-9)
                     slope = wpt.coeff(1)
                     if (
@@ -462,10 +468,9 @@ class ConstructedSystem:
                         and abs(slope - 2.0 * e0) > slope_tol
                         and abs(slope + 2.0 * e0) > slope_tol
                     ):
-                        patch.branches[(side, sign)] = UnremovablePoleError(
-                            patch.x,
+                        patch.branches[(side, sign)] = (
                             f"W+ vanishes with slope {slope:.6g} outside {{+2*eps0, -2*eps0}}; "
-                            "the chain pole cannot cancel",
+                            "the chain pole cannot cancel"
                         )
                     else:
                         patch.branches[(side, sign)] = _chain(
@@ -476,7 +481,7 @@ class ConstructedSystem:
                 for sign in (+1, -1):
                     pa = patch.branches[(+1, sign)]
                     pb = patch.branches[(-1, sign)]
-                    if isinstance(pa, UnremovablePoleError) or isinstance(pb, UnremovablePoleError):
+                    if isinstance(pa, str) or isinstance(pb, str):
                         continue
                     a = pa.wp.structurally_trimmed(1e-9)
                     b = pb.wp.structurally_trimmed(1e-9)
@@ -550,8 +555,6 @@ class ConstructedSystem:
         """(patch, signed offset) if x lies inside a patch's series region,
         else (None, 0.0).  The region is the wide evaluation window, not the
         nominal patch window."""
-        if not self.patches:
-            return None, 0.0
         xr = _reduce(x, self.period)
         i = bisect_right(self._patch_xs, xr)
         for j in (i - 1, i % len(self.patches)):
@@ -569,8 +572,6 @@ class ConstructedSystem:
         n = len(self.patches)
         where = np.full(xr.shape, -1)
         offset = np.zeros(xr.shape)
-        if not n:
-            return where, offset
         px = np.array(self._patch_xs)
         half = np.array([p.eval_halfwidth for p in self.patches])
         i = np.searchsorted(px, xr, side="right")
@@ -628,21 +629,21 @@ class ConstructedSystem:
 
     def w_plus(self, x: float, sign: int | None = None) -> jets.Jet:
         """Jet of the branch-resolved W+ at x (sign-map branch unless overridden)."""
-        xr = _reduce(x, self.period)
-        patch, t = self._near_patch(xr)
-        if patch is None:
-            if sign is None:
-                sign = self.branch_map.sign_at(xr)
-            return self._w_direct(self.u.jet(xr), sign)
-        return self._local_jet(self._active_local(patch, +1 if t >= 0.0 else -1, sign).wp, t, xr)
+        return self._members(x, ("wp",), sign)[0]
 
-    def _direct_chain(self, xr, sign=None) -> _Chain:
-        """Chain jets from one jet of U, at a reduced point outside every
-        patch window or at a batch of them (one sign per point)."""
+    def _direct_members(self, xr, names, sign=None) -> list:
+        """Jets of the named chain members from one jet of U at a reduced point
+        outside the patch windows, or a batch (one sign per point), stopping
+        the chain at the last step a name needs."""
         if sign is None:
             sign = self.branch_map.sign_at(xr)
         u = self.u.jet(xr)
-        return _chain(self._w_direct(u, sign), u, self.pair, jets.differentiate, lambda j: j)
+        got = {"wp": self._w_direct(u, sign)}
+        if not set(names) <= {"wp", "w0", "w1"}:
+            got = _chain(got["wp"], u, self.pair, jets.differentiate, lambda j: j)._asdict()
+        elif not set(names) <= {"wp"}:
+            got["w0"], got["w1"] = _w0_w1(got["wp"], self.pair, jets.differentiate, lambda j: j)
+        return [got[name] for name in names]
 
     def _members(self, x: float, names, sign: int | None = None) -> list:
         """Jets of the named chain members at x; inside a patch window only
@@ -650,8 +651,7 @@ class ConstructedSystem:
         xr = _reduce(x, self.period)
         patch, t = self._near_patch(xr)
         if patch is None:
-            chain = self._direct_chain(xr, sign)
-            return [getattr(chain, name) for name in names]
+            return self._direct_members(xr, names, sign)
         loc = self._active_local(patch, +1 if t >= 0.0 else -1, sign)
         return [self._local_jet(getattr(loc, name), t, xr) for name in names]
 
@@ -668,17 +668,23 @@ class ConstructedSystem:
         c = self.chain(x, sign)
         return c.w0, c.w1, c.w2
 
-    def potentials(self, x: float, sign: int | None = None):
-        """(V-, V+) at x.  An exact hit of a lower-strip-edge point whose
-        active branch vanishes raises: V+ has a genuine pole there."""
+    def potentials(self, x, sign: int | None = None):
+        """(V-, V+) at x, or per point of an array x.  An exact hit of a
+        lower-strip-edge point whose active branch vanishes raises: V+ has
+        a genuine pole there."""
+        if isinstance(x, np.ndarray):
+            xr = _reduce(x.ravel(), self.period)
+            direct = self._near_patches(xr)[0] < 0
+            out = np.empty((2, xr.size))
+            out[:, direct] = _partner_potentials(*self._direct_members(xr[direct], ("w0",), sign))
+            for k in np.flatnonzero(~direct):
+                out[:, k] = self.potentials(float(xr[k]), sign)
+            return out[0].reshape(x.shape), out[1].reshape(x.shape)
         xr = _reduce(x, self.period)
         patch, t = self._near_patch(xr)
         if patch is not None and abs(t) < 1e-12 * self.period and patch.vplus_pole:
             raise VplusPoleError(patch.x)
-        (w0,) = self._members(xr, ("w0",), sign)
-        v = w0.value * w0.value
-        d = w0.derivative(1)
-        return 0.5 * (v - d), 0.5 * (v + d)
+        return _partner_potentials(*self._members(xr, ("w0",), sign))
 
     # ------------------------------------------------------------------
     # wavefunctions
@@ -690,10 +696,11 @@ class ConstructedSystem:
         return self._assembly
 
     def wavefunctions_minus(self, x, c0: float = 1.0, c1: float = 1.0, c2: float = 1.0):
-        return self._ensure_assembly().psi_minus(x, c0, c1, c2)
+        return self._ensure_assembly().evaluate(x, ((0, None), (1, "wp"), (2, "g")), (c0, c1, c2))
 
     def wavefunctions_plus(self, x, c1: float = 1.0, c2: float = 1.0):
-        return self._ensure_assembly().psi_plus(x, c1, c2)
+        consts = (c1 * math.sqrt(2.0) * self.pair.eps0, c2 / math.sqrt(2.0))
+        return self._ensure_assembly().evaluate(x, ((1, None), (2, "h")), consts)
 
     def log_weight(self, i: int, x) -> float:
         """Pole-regularized integral of W_i from the half-period point to x
@@ -774,6 +781,12 @@ class ConstructedSystem:
         return (0.0, self.pair.eps0, self.pair.top)
 
 
+def _partner_potentials(w0: jets.Jet):
+    """(V-, V+) = ((W0^2 - W0') / 2, (W0^2 + W0') / 2)."""
+    v, d = w0.value * w0.value, w0.derivative(1)
+    return 0.5 * (v - d), 0.5 * (v + d)
+
+
 def _drop_residue(lp: local_series.LaurentPoly) -> local_series.LaurentPoly:
     if lp.valuation > -1:
         return lp
@@ -799,10 +812,6 @@ def _laurent_piece(lp: local_series.LaurentPoly, t0: float, t1: float) -> float:
         else:
             total += c * (t1 ** (p + 1) - t0 ** (p + 1)) / (p + 1)
     return total
-
-
-def _safe_log(d: float) -> float:
-    return math.log(d) if d > 0.0 else -math.inf
 
 
 def _cheb_fit(f, n: int, lo: float, hi: float) -> Chebyshev:
@@ -833,6 +842,8 @@ class _StateAssembly:
     Across the seam state(x + L) = sigma_i * state(x), sigma_i = (-1)^(sum of
     rho over a period): W_i is odd about xm, so its principal value over a
     period vanishes, and the factors are periodic.
+    A scalar x is a batch of one: phi is one Clenshaw pass per segment, the
+    factors one chain batch outside the windows, grouped local series inside.
     """
 
     def __init__(self, system: ConstructedSystem):
@@ -847,20 +858,15 @@ class _StateAssembly:
         # per smooth segment.
         cuts = sorted(b for b in set(system.branch_map.breakpoints) if 1e-12 < b < L - 1e-12)
         self.seg_bounds = [0.0] + cuts + [L]
-        self.images = []
-        for name in CHAIN_NAMES:
-            imgs = []
-            for (q, rho) in system.poles[name]:
-                for k in (-1, 0, 1):
-                    qi = q + k * L
-                    if -0.5 * L <= qi <= 1.5 * L:
-                        imgs.append((qi, rho))
-            self.images.append(tuple(imgs))
-        self.wrap = tuple(
-            -1.0 if sum(rho for _, rho in system.poles[name]) % 2 else 1.0 for name in CHAIN_NAMES
-        )
+        self.images = [
+            tuple((q + k * L, rho) for q, rho in system.poles[name] for k in (-1, 0, 1)
+                  if -0.5 * L <= q + k * L <= 1.5 * L)
+            for name in CHAIN_NAMES
+        ]
+        self.wrap = tuple(-1.0 if sum(r for _, r in system.poles[name]) % 2 else 1.0 for name in CHAIN_NAMES)
         self.seg_tables = [[] for _ in CHAIN_NAMES]
         self.seg_base = [[] for _ in CHAIN_NAMES]
+        self._segments = []  # per segment: domain map, bases, stacked coefficients
         acc = [0.0 for _ in CHAIN_NAMES]
         for a, b in zip(self.seg_bounds[:-1], self.seg_bounds[1:]):
             # node count -> all three chains sampled at those nodes; each
@@ -885,123 +891,135 @@ class _StateAssembly:
                 self.seg_tables[i].append(cheb)
                 self.seg_base[i].append(acc[i] - float(cheb(a)))
                 acc[i] += float(cheb(b)) - float(cheb(a))
-        self.phi_mid = [self._phi(i, self.xm) for i in range(len(CHAIN_NAMES))]
+            # the three tables zero-padded to one length (leading zeros change
+            # no bit of a Clenshaw sum), also as Python floats for small batches
+            n = max(len(t[-1].coef) for t in self.seg_tables)
+            coef = np.column_stack([np.pad(t[-1].coef, (0, n - len(t[-1].coef))) for t in self.seg_tables])
+            base = np.array([per_chain[-1] for per_chain in self.seg_base])
+            self._segments.append((*cheb.mapparms(), base, coef, coef.T.tolist()))
+        self.phi_mid = self._phi(np.array([self.xm]))[:, 0].tolist()
 
-    def _phi(self, i: int, x: float) -> float:
-        """Antiderivative of the pole-free part of chain i, from 0 to x."""
-        bounds = self.seg_bounds
-        xc = min(max(x, bounds[0]), bounds[-1])
-        k = min(max(bisect_right(bounds, xc) - 1, 0), len(bounds) - 2)
-        return self.seg_base[i][k] + float(self.seg_tables[i][k](xc))
+    def _phi(self, x: np.ndarray, chains=range(len(CHAIN_NAMES))) -> np.ndarray:
+        """Integrals of the pole-free W0, W1, W2 from 0 to each x in [0, L], a
+        row each (those of other chains may be left unset on Python floats);
+        both loops round as chebval does, whatever the batch size."""
+        seg = np.minimum(np.searchsorted(self.seg_bounds, x, side="right") - 1, len(self.seg_bounds) - 2)
+        out = np.empty((len(CHAIN_NAMES), x.size))
+        for k in set(seg.tolist()):
+            idx = np.flatnonzero(seg == k)
+            off, scl, base, coef, lists = self._segments[k]
+            y = off + scl * x[idx]
+            if idx.size >= BATCH_MIN:
+                out[:, idx] = base[:, None] + _clenshaw_rows(coef, y)
+            else:
+                for i in chains:
+                    out[i, idx] = base[i] + np.array([_clenshaw(lists[i], v) for v in y.tolist()])
+        return out
 
     def _regular_samples(self, xs: np.ndarray) -> np.ndarray:
-        """W0, W1, W2 with every registered pole term removed, one row each.
-
-        xs lie in [0, L].  Points outside every patch window are one batch
-        through the stable form; points inside a window read the patch's
-        local series, less its own pole.  Each point then loses the pole
-        terms of the other images, subtracted in image order.
-        """
+        """W0, W1, W2 at xs in [0, L] with every registered pole term removed,
+        a row each: one chain batch outside the patch windows, the local series
+        less its own pole inside; then the other images' poles, in order."""
         sysm = self.sys
         out = np.empty((len(CHAIN_NAMES), xs.size))
         window, offset = sysm._near_patches(xs)
         direct = window < 0
         if direct.any():
             xd = xs[direct]
-            chain = sysm._direct_chain(xd)
-            for i, name in enumerate(CHAIN_NAMES):
-                v = getattr(chain, name).value
+            chain = sysm._direct_members(xd, CHAIN_NAMES)
+            for i, jet in enumerate(chain):
+                v = jet.value
                 for (q, rho) in self.images[i]:
                     v = v - rho / (xd - q)
                 out[i, direct] = v
         for k in np.flatnonzero(~direct):
             x, t = xs[k], offset[k]
-            patch = sysm.patches[window[k]]
-            loc = sysm._active_local(patch, +1 if t >= 0.0 else -1)
-            center = x - t
+            loc = sysm._active_local(sysm.patches[window[k]], +1 if t >= 0.0 else -1)
             for i, name in enumerate(CHAIN_NAMES):
-                lp = getattr(loc, name).structurally_trimmed(1e-12)
-                if lp.valuation < 0:
-                    lp = lp.regular_part()
+                lp = getattr(loc, name).structurally_trimmed(1e-12).regular_part()
                 v = float(lp(lp.x0 + t))
                 for (q, rho) in self.images[i]:
-                    if abs(q - center) < 1e-9:
-                        continue  # own pole handled by the series split
-                    v -= rho / (x - q)
+                    if abs(q - (x - t)) >= 1e-9:  # its own pole is in the series split
+                        v -= rho / (x - q)
                 out[i, k] = v
         return out
 
     def log_weight(self, i: int, x: float) -> float:
-        phi = self._phi(i, x) - self.phi_mid[i]
+        phi = float(self._phi(np.array([x]))[i, 0]) - self.phi_mid[i]
         for (q, rho) in self.images[i]:
-            phi += rho * (_safe_log(abs(x - q)) - math.log(abs(self.xm - q)))
+            d = abs(x - q)
+            phi += rho * ((math.log(d) if d > 0.0 else -math.inf) - math.log(abs(self.xm - q)))
         return phi
 
-    def _state(self, i: int, x: float, factor, local_name: str | None = None) -> float:
-        """factor() * w_i(x) at x in [0, L), unit constant; inside a pole-image
-        window of chain i, the local series of local_name stands in for the
-        factor and the image's own power.  A constant factor cancels no pole
-        and takes no local_name."""
-        h = self.sys.patch_halfwidth
-        inside = [(abs(x - q), q, rho) for q, rho in self.images[i] if abs(x - q) <= h]
-        near = min(inside) if local_name and inside else None
-        w = math.exp(self.phi_mid[i] - self._phi(i, x))
-        for (q, rho) in self.images[i]:
-            if near and q == near[1]:
-                w *= (self.xm - q) ** rho
-                continue
-            r = (x - q) / (self.xm - q)
-            # an exact hit with no window reads the limit: 0, or inf for rho > 0
-            w *= r ** -rho if r != 0.0 or rho < 0 else math.inf
-        if near is None:
-            return factor() * w
-        _, q, rho = near
+    def evaluate(self, x, states, consts):
+        """const * factor * w_i for each (i, factor name or None for 1) of
+        states, at every point of x: floats for a scalar x, else arrays of
+        its shape.  Points are reduced once and continued by sigma_i^m."""
         sysm = self.sys
-        patch, t = sysm._near_patch(x)
-        if patch is None:
-            raise PatchFailureError(q, "pole image lies outside every patch window")
-        lp = getattr(sysm._active_local(patch, +1 if t >= 0.0 else -1), local_name)
-        lp = lp.structurally_trimmed(1e-12)
-        # expanded in the offset itself, so no rounding of patch.x + t enters
-        shifted = local_series.LaurentPoly(0.0, lp.valuation - rho, lp.coeffs)
-        return shifted(t) * w
-
-    def _minus_raw(self, x: float):
-        """(psi0, psi1, psi2) at x in [0, L), unit constants; psi1 and psi2
-        share one evaluation of their factors."""
-        factors = functools.cache(lambda: self.sys._members(x, ("wp", "g")))
-        return (
-            self._state(0, x, lambda: 1.0),
-            self._state(1, x, lambda: factors()[0].value, "wp"),
-            self._state(2, x, lambda: factors()[1].value, "g"),
-        )
-
-    def _plus_raw(self, x: float):
-        """(psi1+, psi2+) at x in [0, L), unit constants."""
-        p1 = self._state(1, x, lambda: math.sqrt(2.0) * self.sys.pair.eps0)
-        p2 = self._state(2, x, lambda: self.sys._members(x, ("h",))[0].value, "h")
-        return p1, p2 / math.sqrt(2.0)
-
-    def _per_point(self, x, raw, wrap_index, consts):
-        """Per-point loop: raw values on the reduced point, continued to
-        other periods with the chains' wrap signs."""
-        L = self.sys.period
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((len(consts), xs.size))
-        for k, xi in enumerate(xs.ravel()):
-            xr = _reduce(xi, L)
-            m = int(round((xi - xr) / L))
-            for j, v in enumerate(raw(xr)):
-                out[j, k] = consts[j] * (self.wrap[wrap_index[j]] ** m) * v
+        flat = np.asarray(x, dtype=float).ravel()
+        xr = _reduce(flat, sysm.period)
+        m = np.rint((flat - xr) / sysm.period)
+        phi = self._phi(xr, sorted({i for i, _ in states}))
+        window, offset = sysm._near_patches(xr)
+        direct, inside = np.flatnonzero(window < 0), np.flatnonzero(window >= 0)
+        names = [name for _, name in states if name]
+        if direct.size >= BATCH_MIN:
+            factors = [jet.value for jet in sysm._direct_members(xr[direct], names)]
+        else:  # one float jet per point beats a small batch
+            factors = [[j.value for j in sysm._direct_members(v, names)] for v in xr[direct].tolist()]
+            factors = np.reshape(factors, (direct.size, len(names))).T
+        factors = dict(zip(names, factors))
+        out = []
+        for (i, name), const in zip(states, consts):
+            w = np.exp(self.phi_mid[i] - phi[i])
+            q, rho = np.array(sorted(self.images[i])).reshape(-1, 2).T  # ties go to the smaller q
+            near = np.full(xr.size, -1)  # the image whose pole window holds the point
+            r = (xr - q[:, None]) / (self.xm - q[:, None])
+            power = np.full(r.shape, math.inf)  # an exact hit outside a window reads 0, or inf for rho > 0
+            np.power(r, -rho[:, None], out=power, where=(r != 0.0) | (rho[:, None] < 0))
+            if name and q.size and inside.size:
+                d = np.abs(xr[inside] - q[:, None])
+                hit = np.min(d, axis=0) <= sysm.patch_halfwidth
+                pts, j = inside[hit], np.argmin(d, axis=0)[hit]
+                near[pts] = j
+                power[j, pts] = (self.xm - q[j]) ** rho[j]
+            w *= power.prod(axis=0)
+            if name:
+                f = np.empty(xr.size)
+                f[direct] = factors[name]
+                shift = np.append(rho, 0)[near]  # near = -1 reads the appended 0
+                groups = {}
+                for k in inside.tolist():
+                    groups.setdefault((window[k], offset[k] >= 0.0, shift[k]), []).append(k)
+                for (p, right, s), idx in groups.items():
+                    lp = getattr(sysm._active_local(sysm.patches[p], 1 if right else -1), name)
+                    lp = lp.structurally_trimmed(1e-12)
+                    # in the offset itself, so no rounding of patch.x + t enters
+                    f[idx] = local_series.LaurentPoly(0.0, lp.valuation - int(s), lp.coeffs)(offset[idx])
+                w *= f
+            out.append(const * self.wrap[i] ** m * w)
         if np.ndim(x) == 0:
             return tuple(float(row[0]) for row in out)
         return tuple(row.reshape(np.shape(x)) for row in out)
 
-    def psi_minus(self, x, c0: float, c1: float, c2: float):
-        return self._per_point(x, self._minus_raw, (0, 1, 2), (c0, c1, c2))
 
-    def psi_plus(self, x, c1: float, c2: float):
-        return self._per_point(x, self._plus_raw, (1, 2), (c1, c2))
+def _clenshaw_rows(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """chebval(y, coef) for coef (n, rows), operation for operation, in place."""
+    c0, c1, spare = np.empty((3, coef.shape[1], y.size))
+    c0[:], c1[:], x2 = coef[-2][:, None], coef[-1][:, None], 2.0 * y
+    for ck in coef[-3::-1, :, None]:  # (c0, c1) <- (ck - c1, c0 + c1 * x2)
+        np.add(c0, np.multiply(c1, x2, out=spare), out=spare)
+        np.subtract(ck, c1, out=c0)
+        c1, spare = spare, c1
+    return c0 + c1 * y
+
+
+def _clenshaw(c: list, y: float) -> float:
+    """chebval(y, c) on Python floats, operation for operation."""
+    c0, c1, x2 = c[-2], c[-1], 2.0 * y
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * y
 
 
 def construct(u, eps0: float, eps1: float, period: float, validate: bool = True) -> ConstructedSystem:

@@ -77,7 +77,8 @@ class CompiledU:
         return expr.eval_jet(self.expression, x, self.params)
 
     def value(self, x: float) -> float:
-        return self.jet(x).value
+        """U(x) without derivatives, so root refinement builds no jet."""
+        return float(self.arr(x))
 
     def deriv(self, x: float, k: int = 1) -> float:
         return self.jet(x).derivative(k)

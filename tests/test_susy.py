@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 
 from qesforge import expr, susy, validator
 from qesforge.errors import (
@@ -262,12 +263,39 @@ def test_period_integrals_vanish(razavy1, beta_b0):
             assert abs(val) < 1e-8
 
 
-def test_psi0_is_w0_exponential(razavy1):
-    for a, b in ((0.9, 2.3), (math.pi, 5.0), (0.3, 5.9)):
-        pa = razavy1.wavefunctions_minus(a)[0]
-        pb = razavy1.wavefunctions_minus(b)[0]
-        integral = razavy1.integrate_superpotential(0, a, b)
-        assert pb / pa == pytest.approx(math.exp(-integral), rel=1e-8)
+def integrals_from_midpoint(system, i, xs):
+    """PV integral of W_i from the half-period point to each x, summed over
+    the gaps between neighbouring points."""
+    xm = system.midpoint
+    out = {}
+    for side in (sorted(x for x in xs if x >= xm), sorted((x for x in xs if x < xm), reverse=True)):
+        acc, prev = 0.0, xm
+        for x in side:
+            acc += system.integrate_superpotential(i, prev, x)
+            out[x], prev = acc, x
+    return out
+
+
+def test_states_are_chain_exponentials(razavy1, beta_b0, touch):
+    # |psi / factor| = exp(-PV integral of W_i from the half-period point)
+    # for every state on an array grid: the integral is scipy quad, which
+    # never reads the Chebyshev tables the states come from
+    for system in (razavy1, beta_b0, touch):
+        xs = clean_points(system, 10)
+        pm = system.wavefunctions_minus(np.array(xs))
+        pp = system.wavefunctions_plus(np.array(xs))
+        integrals = [integrals_from_midpoint(system, i, xs) for i in range(3)]
+        for k, x in enumerate(xs):
+            c = system.chain(x)
+            states = (
+                (0, pm[0][k], 1.0),
+                (1, pm[1][k], c.wp.value),
+                (2, pm[2][k], c.g.value),
+                (1, pp[0][k], math.sqrt(2.0) * system.pair.eps0),
+                (2, pp[1][k], c.h.value / math.sqrt(2.0)),
+            )
+            for i, psi, factor in states:
+                assert abs(psi / factor) == pytest.approx(math.exp(-integrals[i][x]), rel=1e-8)
 
 
 # -- states ------------------------------------------------------------------
@@ -413,19 +441,24 @@ def eval_jet_calls(monkeypatch):
 
 def test_one_u_jet_per_point(beta_b0, eval_jet_calls):
     # away from patch windows and pole images every evaluator reads one
-    # chain, built from a single jet of U
+    # chain per point, built from a single jet of U: V and W one call per
+    # point, the states each point exactly once across their calls
     xs = clean_points(beta_b0, 40)
     beta_b0.wavefunctions_minus(xs[0])  # assemble the tables first
     evaluators = {
         "psi-": lambda: beta_b0.wavefunctions_minus(np.array(xs)),
         "psi+": lambda: beta_b0.wavefunctions_plus(np.array(xs)),
+        "psi- per point": lambda: [beta_b0.wavefunctions_minus(x) for x in xs],
         "V": lambda: [beta_b0.potentials(x) for x in xs],
         "W": lambda: [beta_b0.superpotentials(x) for x in xs],
     }
     for name, run in evaluators.items():
         eval_jet_calls.clear()
         run()
-        assert len(eval_jet_calls) == len(xs), name
+        seen = np.concatenate([np.atleast_1d(x0) for x0 in eval_jet_calls]).tolist()
+        assert sorted(seen) == sorted(xs), name
+        if name in ("V", "W"):
+            assert len(eval_jet_calls) == len(xs), name
 
 
 def test_validated_build_samples_discriminant_once(monkeypatch):
@@ -487,7 +520,7 @@ def test_batched_chain_matches_points(razavy1, beta_b0, beta_bnz, touch):
     # one batch through the stable form reproduces every per-point chain jet
     for system in (razavy1, beta_b0, beta_bnz, touch):
         xs = clean_points(system)
-        batch = system._direct_chain(np.array(xs))
+        batch = system._direct_members(np.array(xs), susy._Chain._fields)
         for k, x in enumerate(xs):
             for got, want in zip(batch, system.chain(x)):
                 assert [float(np.broadcast_to(c, len(xs))[k]) for c in got.coeffs] == list(want.coeffs)
@@ -673,9 +706,55 @@ def test_vplus_pole_flag_raises(touch):
     try:
         with pytest.raises(VplusPoleError):
             touch.potentials(patch.x)
+        with pytest.raises(VplusPoleError):
+            touch.potentials(np.array([1.0, patch.x + touch.period, 2.0]))
+        touch.potentials(np.array([1.0, patch.x + 1e-6]))  # only exact hits raise
     finally:
         patch.vplus_pole = False
     touch.potentials(patch.x)  # healthy again
+
+
+def test_off_window_potentials_stop_at_w0(beta_b0, monkeypatch):
+    # V reads W0 alone: outside the windows the chain stops before W~+,
+    # g and h, and W0 is the full chain's bit for bit
+    xs = clean_points(beta_b0, 40)
+    want = [beta_b0.chain(x).w0 for x in xs]
+    built = []
+    chain = susy._chain
+
+    def recording(*args):
+        built.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(susy, "_chain", recording)
+    v = [beta_b0.potentials(x) for x in xs]
+    batch = beta_b0.potentials(np.array(xs))
+    got = [beta_b0._members(x, ("w0",))[0] for x in xs]
+    assert not built
+    for w0, jet, (vm, vp) in zip(want, got, v):
+        assert jet.coeffs == w0.coeffs
+        assert (vm, vp) == (0.5 * (w0.value**2 - w0.derivative(1)), 0.5 * (w0.value**2 + w0.derivative(1)))
+    np.testing.assert_array_equal(np.array(batch), np.array(v).T)
+
+
+def test_unremovable_pole_error_leaves_no_cycle():
+    # each raise is a fresh error, so no stored traceback ties the system
+    # to its own frames
+    gc.disable()
+    try:
+        system = construct(DETUNED, 8.0, 2.5, TWO_PI)
+        x = 0.5 * math.pi
+        try:
+            system.superpotentials(x + 1e-4, sign=system.branch_map.sign_at(x - 1e-4))
+        except UnremovablePoleError:
+            pass
+        else:
+            pytest.fail("the unremovable branch evaluated")
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- evaluation -------------------------------------------------------------
@@ -691,6 +770,54 @@ def test_array_evaluation_matches_scalars(razavy1):
             assert trio[j][i] == pytest.approx(val, rel=1e-12, abs=1e-15)
         for j, val in enumerate(razavy1.wavefunctions_plus(float(x))):
             assert duo[j][i] == pytest.approx(val, rel=1e-12, abs=1e-15)
+
+
+def test_batch_equals_batches_of_one(razavy1, beta_b0, touch):
+    # window centres and edges, exact pole hits and +-L images included;
+    # array V equals the scalar loop bit for bit
+    for system in (razavy1, beta_b0, touch):
+        L = system.period
+        xs = [(k + 0.5) / 31 * L for k in range(31)]
+        for p in system.patches:
+            for r in (p.eval_halfwidth, system.patch_halfwidth):
+                for f in (0.0, 1.0 - 1e-12, 1.0 + 1e-12):
+                    xs += [p.x + f * r, p.x - f * r]
+        xs += [q for name in susy.CHAIN_NAMES for q, _ in system.poles[name]]
+        xs = np.concatenate([xs, np.add(xs, L), np.subtract(xs, L)])
+        batch = system.wavefunctions_minus(xs) + system.wavefunctions_plus(xs)
+        ones = np.array([system.wavefunctions_minus(x) + system.wavefunctions_plus(x) for x in xs])
+        np.testing.assert_array_equal(np.array(batch), ones.T)
+        vm, vp = system.potentials(xs)
+        loop = np.array([system.potentials(float(x)) for x in xs])
+        np.testing.assert_array_equal(np.array([vm, vp]), loop.T)
+    grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert all(a.shape == (2, 3) for a in razavy1.potentials(grid) + razavy1.wavefunctions_plus(grid))
+
+
+def test_grid_states_skip_scalar_paths(beta_b0, eval_jet_calls, monkeypatch):
+    # a 512-point grid reads every table in per-segment batches, never one
+    # point at a time, and takes one U jet batch per state call
+    beta_b0.wavefunctions_minus(beta_b0.midpoint)
+    scalar_reads = []
+    cheb_call = Chebyshev.__call__
+    clenshaw = susy._clenshaw
+
+    def reading(table, arg):
+        scalar_reads.append(np.ndim(arg) == 0)
+        return cheb_call(table, arg)
+
+    def python_sum(c, y):
+        scalar_reads.append(True)
+        return clenshaw(c, y)
+
+    monkeypatch.setattr(Chebyshev, "__call__", reading)
+    monkeypatch.setattr(susy, "_clenshaw", python_sum)
+    xs = 0.1 + np.arange(512) * (TWO_PI / 512)
+    eval_jet_calls.clear()
+    beta_b0.wavefunctions_minus(xs)
+    beta_b0.wavefunctions_plus(xs)
+    assert not any(scalar_reads)
+    assert len(eval_jet_calls) == 2
 
 
 # -- rejection paths ---------------------------------------------------------
