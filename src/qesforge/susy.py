@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.fft import dct
-from scipy.integrate import quad
 
 from . import jets, local_series, validator
 from .errors import (
@@ -497,10 +496,15 @@ class ConstructedSystem:
         return patch.local(side, sign)
 
     def _register_poles(self):
-        """Pole locations and residues of each chain member under the sign map."""
+        """Pole locations and residues of each chain member under the sign map.
+
+        The antiderivative tables take every pole as a simple one with one
+        integer residue, so both sides' series must agree on it.
+        """
         self.poles = {name: [] for name in CHAIN_NAMES}
         for patch in self.patches:
             loc = self._active_local(patch, +1)
+            left = self._active_local(patch, -1)
             # V+ is singular exactly where the active W0 keeps a pole; at a
             # transversal lower-edge crossing that is the vanishing branch,
             # but a tuned tangential touch can stay regular
@@ -510,6 +514,14 @@ class ConstructedSystem:
             )
             for name in CHAIN_NAMES:
                 lp = getattr(loc, name).structurally_trimmed(1e-12)
+                lp_l = getattr(left, name).structurally_trimmed(1e-12)
+                if min(lp.valuation, lp_l.valuation) < -1:
+                    raise PatchFailureError(patch.x, f"nonintegrable pole order in {name}")
+                res_l = lp_l.residue()
+                if abs(res_l - lp.residue()) > 1e-6 * max(1.0, abs(res_l)):
+                    raise PatchFailureError(
+                        patch.x, f"pole residue of {name} differs across the point; no principal value exists"
+                    )
                 if lp.valuation < 0:
                     res = lp.residue()
                     if abs(res) > 1e-8:
@@ -672,19 +684,38 @@ class ConstructedSystem:
         """(V-, V+) at x, or per point of an array x.  An exact hit of a
         lower-strip-edge point whose active branch vanishes raises: V+ has
         a genuine pole there."""
-        if isinstance(x, np.ndarray):
-            xr = _reduce(x.ravel(), self.period)
-            direct = self._near_patches(xr)[0] < 0
-            out = np.empty((2, xr.size))
-            out[:, direct] = _partner_potentials(*self._direct_members(xr[direct], ("w0",), sign))
-            for k in np.flatnonzero(~direct):
-                out[:, k] = self.potentials(float(xr[k]), sign)
-            return out[0].reshape(x.shape), out[1].reshape(x.shape)
-        xr = _reduce(x, self.period)
-        patch, t = self._near_patch(xr)
-        if patch is not None and abs(t) < 1e-12 * self.period and patch.vplus_pole:
+        if not isinstance(x, np.ndarray):
+            xr = _reduce(x, self.period)
+            patch, t = self._near_patch(xr)
+            if patch is None:
+                w0 = self._direct_members(xr, ("w0",), sign)[0]
+                return _partner_potentials(w0.value, w0.derivative(1))
+            vm, vp = self._window_potentials(patch, np.array([t]), sign)
+            return float(vm[0]), float(vp[0])
+        xr = _reduce(x.ravel(), self.period)
+        window, offset = self._near_patches(xr)
+        direct = window < 0
+        out = np.empty((2, xr.size))
+        w0 = self._direct_members(xr[direct], ("w0",), sign)[0]
+        out[:, direct] = _partner_potentials(w0.value, w0.derivative(1))
+        for p in np.unique(window[~direct]).tolist():
+            idx = window == p
+            out[:, idx] = self._window_potentials(self.patches[p], offset[idx], sign)
+        return out[0].reshape(x.shape), out[1].reshape(x.shape)
+
+    def _window_potentials(self, patch: _Patch, t: np.ndarray, sign: int | None):
+        """(V-, V+) at the offsets t of points in one patch window, from the
+        value and slope of W0's local series on each side."""
+        if patch.vplus_pole and np.any(np.abs(t) < 1e-12 * self.period):
             raise VplusPoleError(patch.x)
-        return _partner_potentials(*self._members(xr, ("w0",), sign))
+        out = np.empty((2, t.size))
+        for side, on in ((+1, t >= 0.0), (-1, t < 0.0)):
+            if on.any():
+                lp = self._active_local(patch, side, sign).w0.structurally_trimmed(1e-12)
+                w0 = local_series.LaurentPoly(0.0, lp.valuation, lp.coeffs)
+                # trimmed() drops the zero term a constant leaves in the slope
+                out[:, on] = _partner_potentials(w0(t[on]), w0.derivative().trimmed()(t[on]))
+        return out
 
     # ------------------------------------------------------------------
     # wavefunctions
@@ -702,10 +733,12 @@ class ConstructedSystem:
         consts = (c1 * math.sqrt(2.0) * self.pair.eps0, c2 / math.sqrt(2.0))
         return self._ensure_assembly().evaluate(x, ((1, None), (2, "h")), consts)
 
-    def log_weight(self, i: int, x) -> float:
+    def log_weight(self, i: int, x):
         """Pole-regularized integral of W_i from the half-period point to x
-        (periodic in x)."""
-        return self._ensure_assembly().log_weight(i, _reduce(x, self.period))
+        (periodic in x): a float for a scalar x, else an array of its shape."""
+        xr = _reduce(np.asarray(x, dtype=float).ravel(), self.period)
+        out = self._ensure_assembly().log_weight(i, xr)
+        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
     # ------------------------------------------------------------------
     # quadrature
@@ -715,6 +748,9 @@ class ConstructedSystem:
         """Integral of W_i over [a, b]; principal value across chain poles.
 
         [a, b] must fit inside one period after reduction by a common shift.
+        The integral is read from the antiderivative tables of the state
+        assembly, which the first call builds.  An endpoint exactly on a
+        pole image diverges and raises QuadratureNonconvergenceError.
         """
         if i not in (0, 1, 2):
             raise ValueError("chain index must be 0, 1 or 2")
@@ -725,54 +761,10 @@ class ConstructedSystem:
         a2, b2 = a - shift, b - shift
         if b2 > L + 1e-12:
             raise ValueError("integration range spans more than one period after reduction")
-        b2 = min(b2, L)
-        h = self.patch_halfwidth
-        name = CHAIN_NAMES[i]
-        cuts = [a2, b2]
-        windows = []
-        for patch in self.patches:
-            for img in (patch.x - L, patch.x, patch.x + L):
-                lo, hi = img - h, img + h
-                if hi <= a2 or lo >= b2:
-                    continue
-                lo, hi = max(lo, a2), min(hi, b2)
-                cuts += [lo, hi]
-                windows.append((lo, hi, patch, img))
-        cuts = sorted(set(cuts))
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo < 1e-15:
-                continue
-            win = next((w for w in windows if w[0] <= lo and hi <= w[1]), None)
-            if win is not None:
-                total += self._integrate_local(win[2], win[3], name, lo, hi)
-            else:
-                val, err = quad(
-                    lambda x: self._members(x, (name,))[0].value, lo, hi,
-                    epsabs=1e-13, epsrel=1e-13, limit=200,
-                )
-                if err > 1e-10:
-                    raise QuadratureNonconvergenceError(lo, hi, err, 1e-10)
-                total += val
-        return total
-
-    def _integrate_local(self, patch: _Patch, img: float, name: str, lo: float, hi: float) -> float:
-        t0, t1 = lo - img, hi - img
-        lp_l = getattr(self._active_local(patch, -1), name).structurally_trimmed(1e-12)
-        lp_r = getattr(self._active_local(patch, +1), name).structurally_trimmed(1e-12)
-        if t1 <= 0.0:
-            return _laurent_piece(lp_l, t0, t1)
-        if t0 >= 0.0:
-            return _laurent_piece(lp_r, t0, t1)
-        res_l, res_r = lp_l.residue(), lp_r.residue()
-        if abs(res_l - res_r) > 1e-6 * max(1.0, abs(res_l)):
-            raise PatchFailureError(
-                patch.x, f"pole residue of {name} differs across the point; no principal value exists"
-            )
-        total = res_l * math.log(abs(t1 / t0))
-        total += _laurent_piece(_drop_residue(lp_l), t0, 0.0)
-        total += _laurent_piece(_drop_residue(lp_r), 0.0, t1)
-        return total
+        lo, hi = self._ensure_assembly().log_weight(i, np.array([a2, min(b2, L)])).tolist()
+        if not math.isfinite(hi - lo):
+            raise QuadratureNonconvergenceError(a, b, math.inf, 1e-10)
+        return hi - lo
 
     # ------------------------------------------------------------------
 
@@ -781,37 +773,10 @@ class ConstructedSystem:
         return (0.0, self.pair.eps0, self.pair.top)
 
 
-def _partner_potentials(w0: jets.Jet):
-    """(V-, V+) = ((W0^2 - W0') / 2, (W0^2 + W0') / 2)."""
-    v, d = w0.value * w0.value, w0.derivative(1)
-    return 0.5 * (v - d), 0.5 * (v + d)
-
-
-def _drop_residue(lp: local_series.LaurentPoly) -> local_series.LaurentPoly:
-    if lp.valuation > -1:
-        return lp
-    idx = -1 - lp.valuation
-    coeffs = tuple(0.0 if j == idx else c for j, c in enumerate(lp.coeffs))
-    return local_series.LaurentPoly(lp.x0, lp.valuation, coeffs)
-
-
-def _laurent_piece(lp: local_series.LaurentPoly, t0: float, t1: float) -> float:
-    """Integral of a Laurent series over [t0, t1] lying on one side of 0."""
-    if lp.valuation < -1:
-        raise PatchFailureError(lp.x0, "nonintegrable pole order in a chain member")
-    total = 0.0
-    for k, c in enumerate(lp.coeffs):
-        if c == 0.0:
-            continue
-        p = lp.valuation + k
-        if p == -1:
-            if t0 == 0.0 or t1 == 0.0:
-                # endpoint exactly on a logarithmic singularity: divergent
-                raise QuadratureNonconvergenceError(lp.x0 + t0, lp.x0 + t1, math.inf, 1e-10)
-            total += c * math.log(abs(t1 / t0))
-        else:
-            total += c * (t1 ** (p + 1) - t0 ** (p + 1)) / (p + 1)
-    return total
+def _partner_potentials(w0, slope):
+    """(V-, V+) = ((W0^2 - W0') / 2, (W0^2 + W0') / 2) from W0 and W0'."""
+    v = w0 * w0
+    return 0.5 * (v - slope), 0.5 * (v + slope)
 
 
 def _cheb_fit(f, n: int, lo: float, hi: float) -> Chebyshev:
@@ -884,8 +849,11 @@ class _StateAssembly:
                     cheb = _cheb_fit(sample, n, a, b)
                     tail = float(np.max(np.abs(cheb.coef[-max(8, n // 8):])))
                     scale = float(np.max(np.abs(cheb.coef)))
-                    if tail <= CHEB_TAIL_REL * max(scale, 1e-300) or n >= CHEB_DEGREE_MAX:
+                    if tail <= CHEB_TAIL_REL * max(scale, 1e-300):
                         break
+                    if n >= CHEB_DEGREE_MAX:
+                        # the tables are the integrals of W_i: an unconverged fit fails
+                        raise QuadratureNonconvergenceError(a, b, tail / max(scale, 1e-300), CHEB_TAIL_REL)
                     n *= 2
                 cheb = cheb.integ()
                 self.seg_tables[i].append(cheb)
@@ -944,11 +912,15 @@ class _StateAssembly:
                 out[i, k] = v
         return out
 
-    def log_weight(self, i: int, x: float) -> float:
-        phi = float(self._phi(np.array([x]))[i, 0]) - self.phi_mid[i]
+    def log_weight(self, i: int, x: np.ndarray) -> np.ndarray:
+        """phi_i from xm to each x in [0, L] plus rho * log|(x - q) / (xm - q)|
+        per pole image: -inf * rho on an image, so a difference of two is the
+        principal-value integral of W_i between them.  One table read of
+        chain i; the logs are math.log's, whatever the batch size."""
+        phi = self._phi(x, (i,))[i] - self.phi_mid[i]
         for (q, rho) in self.images[i]:
-            d = abs(x - q)
-            phi += rho * ((math.log(d) if d > 0.0 else -math.inf) - math.log(abs(self.xm - q)))
+            logs = [math.log(d) if d > 0.0 else -math.inf for d in np.abs(x - q).tolist()]
+            phi += rho * (np.array(logs) - math.log(abs(self.xm - q)))
         return phi
 
     def evaluate(self, x, states, consts):
@@ -1020,6 +992,14 @@ def _clenshaw(c: list, y: float) -> float:
     for ck in c[-3::-1]:
         c0, c1 = ck - c1, c0 + c1 * x2
     return c0 + c1 * y
+
+
+def __getattr__(name):  # susy.quad for bench/selftest.py, imported on first read (~25 MB)
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+
+    return quad
 
 
 def construct(u, eps0: float, eps1: float, period: float, validate: bool = True) -> ConstructedSystem:

@@ -8,10 +8,11 @@ and global nonnegativity of the branch discriminant.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import expr, jets
 
@@ -85,7 +86,50 @@ class CompiledU:
 
 
 def _refine_transversal(f, lo: float, hi: float) -> float:
-    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    return _brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """scipy.optimize.brentq step for step, errors included (Brent 1973,
+    ch. 4): written out because importing scipy.optimize costs ~22 MB."""
+
+    def call(x):
+        v = float(f(x))
+        if v != v:
+            raise ValueError(f"The function value at x={x:f} is NaN; solver cannot continue.")
+        return v
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisects; in C a division by zero gives inf or nan, which bisect too
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with contextlib.suppress(ZeroDivisionError):
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}.")
 
 
 def _refine_tangential(fp, x: float, dx: float):

@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+import quad_oracle
 from numpy.polynomial.chebyshev import Chebyshev
 
 from qesforge import expr, susy, validator
@@ -19,9 +20,11 @@ from qesforge.errors import (
     InadmissibleInputError,
     NegativeDiscriminantError,
     PatchFailureError,
+    QuadratureNonconvergenceError,
     UnremovablePoleError,
     VplusPoleError,
 )
+from qesforge.local_series import LaurentPoly
 from qesforge.susy import construct
 
 TWO_PI = 2.0 * math.pi
@@ -263,23 +266,98 @@ def test_period_integrals_vanish(razavy1, beta_b0):
             assert abs(val) < 1e-8
 
 
+def test_integrals_match_quad_oracle(razavy1, beta_b0, beta_bnz, touch):
+    # the tables against scipy quad on the chain jets: a period cut at a
+    # seeded point and inside a pole window, so pieces end in a window, at
+    # L, and cross poles as principal values; each piece is also read
+    # shifted by -L and +L, where the integral is the same
+    rng = np.random.default_rng(5)
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        L = system.period
+        poles = [q for q, _ in system.poles["w1"]]
+        cuts = [0.0] + sorted([rng.uniform(0.0, L), poles[0] + 0.3 * system.patch_halfwidth]) + [L]
+        pieces = list(zip(cuts[:-1], cuts[1:]))
+        assert any(lo < q < hi for lo, hi in pieces for q in poles)
+        for i in range(3):
+            for lo, hi in pieces:
+                want = quad_oracle.integrate(system, i, lo, hi)
+                for shift in (-L, 0.0, L):
+                    got = system.integrate_superpotential(i, lo + shift, hi + shift)
+                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (i, lo, hi, shift)
+
+
+def test_integrals_never_call_quad(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy quad called")
+
+    monkeypatch.setattr(susy, "quad", refuse)
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI, validate=False)
+    for i in range(3):
+        system.integrate_superpotential(i, 0.1, 3.0)
+
+
+def test_integral_typed_outcomes(touch):
+    # an endpoint on a pole diverges; the range must fit one period and
+    # the chain index must exist; reversed bounds flip the sign
+    q = touch.poles["w1"][0][0]
+    for a, b in ((q, q + 1.0), (q - 1.0, q)):
+        with pytest.raises(QuadratureNonconvergenceError):
+            touch.integrate_superpotential(1, a, b)
+    with pytest.raises(ValueError):
+        touch.integrate_superpotential(0, 0.5, 0.5 + 1.01 * touch.period)
+    for i in (-1, 3):
+        with pytest.raises(ValueError):
+            touch.integrate_superpotential(i, 0.1, 1.0)
+    assert touch.integrate_superpotential(2, 3.0, 0.1) == -touch.integrate_superpotential(2, 0.1, 3.0)
+
+
+@pytest.mark.parametrize(
+    "power, match", [(-1, "residue of w1 differs"), (-2, "nonintegrable pole order in w1")]
+)
+def test_pole_series_must_agree_across_a_point(monkeypatch, power, match):
+    # the tables integrate each pole as a simple one with one residue: a
+    # left series with a different residue or a double pole fails the build
+    active = susy.ConstructedSystem._active_local
+
+    def skewed(self, patch, side, sign=None):
+        loc = active(self, patch, side, sign)
+        if side > 0:
+            return loc
+        return loc._replace(w1=loc.w1 + LaurentPoly(loc.w1.x0, power, (0.5,)))
+
+    monkeypatch.setattr(susy.ConstructedSystem, "_active_local", skewed)
+    with pytest.raises(PatchFailureError, match=match):
+        construct(RAZAVY, 1.0, 0.5, TWO_PI, validate=False)
+
+
+def test_unconverged_table_raises(monkeypatch):
+    # a Chebyshev ladder that reaches its cap with a live tail fails loudly
+    monkeypatch.setattr(susy, "CHEB_DEGREE_MAX", 512)
+    monkeypatch.setattr(susy, "CHEB_TAIL_REL", 0.0)
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI, validate=False)
+    with pytest.raises(QuadratureNonconvergenceError):
+        system.integrate_superpotential(0, 0.1, 3.0)
+    with pytest.raises(QuadratureNonconvergenceError):
+        system.wavefunctions_minus(1.0)
+
+
 def integrals_from_midpoint(system, i, xs):
     """PV integral of W_i from the half-period point to each x, summed over
-    the gaps between neighbouring points."""
+    the gaps between neighbouring points by the quad oracle."""
     xm = system.midpoint
     out = {}
     for side in (sorted(x for x in xs if x >= xm), sorted((x for x in xs if x < xm), reverse=True)):
         acc, prev = 0.0, xm
         for x in side:
-            acc += system.integrate_superpotential(i, prev, x)
+            acc += quad_oracle.integrate(system, i, prev, x)
             out[x], prev = acc, x
     return out
 
 
 def test_states_are_chain_exponentials(razavy1, beta_b0, touch):
     # |psi / factor| = exp(-PV integral of W_i from the half-period point)
-    # for every state on an array grid: the integral is scipy quad, which
-    # never reads the Chebyshev tables the states come from
+    # for every state on an array grid: the integral is the quad oracle,
+    # which never reads the Chebyshev tables the states come from
     for system in (razavy1, beta_b0, touch):
         xs = clean_points(system, 10)
         pm = system.wavefunctions_minus(np.array(xs))
@@ -550,19 +628,28 @@ def test_oddness_probe_reports_negative_discriminant_like_scalar_probe():
 
 
 def test_in_window_potentials_read_one_series(beta_b0, monkeypatch):
-    # V needs W0 alone: inside a window no other member's series is evaluated
-    calls = []
-    original = susy.ConstructedSystem._local_jet
+    # V needs W0 alone: inside a window no other member's series is read,
+    # for a scalar point or a batch
+    read = []
+    active = susy.ConstructedSystem._active_local
 
-    def counting(lp, t, x):
-        calls.append(lp)
-        return original(lp, t, x)
+    class Recording:
+        def __init__(self, chain):
+            self.chain = chain
 
-    monkeypatch.setattr(susy.ConstructedSystem, "_local_jet", staticmethod(counting))
+        def __getattr__(self, name):
+            read.append(name)
+            return getattr(self.chain, name)
+
+    monkeypatch.setattr(susy.ConstructedSystem, "_active_local", lambda *args: Recording(active(*args)))
     for patch in beta_b0.patches:
-        calls.clear()
-        beta_b0.potentials(patch.x + 0.5 * patch.eval_halfwidth)
-        assert len(calls) == 1, patch.kind
+        x = patch.x + 0.5 * patch.eval_halfwidth
+        read.clear()
+        beta_b0.potentials(x)
+        assert read == ["w0"], patch.kind
+        read.clear()
+        beta_b0.potentials(np.array([x, x - patch.eval_halfwidth]))
+        assert read == ["w0", "w0"], patch.kind
 
 
 def test_dropped_system_is_freed_without_cycle_collection():

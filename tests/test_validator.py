@@ -219,3 +219,44 @@ def test_regularity_crossings_scale_with_eps0():
     assert len(upper) == 4
     for g, w in zip(upper, want):
         assert g == pytest.approx(w, abs=1e-9)
+
+
+# ------------------------------------------------------------------ root refinement
+
+
+def _evaluations(solve, f, *args, **kwargs):
+    """Result (or error class) of a solver run, with every point it evaluated."""
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return f(x)
+
+    try:
+        got = solve(recording, *args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        got = type(exc).__name__
+    return got, type(got), seen
+
+
+def test_brentq_matches_scipy_step_for_step():
+    # scipy's brentq is the reference: the same points in the same order and
+    # the same root or error, on smooth brackets, flat high-order roots (where
+    # a step divides by zero), same-sign brackets, exhausted iterations and NaN
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(300):
+        c = rng.uniform(-2.0, 2.0, 5)
+        cases.append((lambda x, c=c: c[0] + c[1] * x + c[2] * x * x + c[3] * math.sin(3.0 * x) + c[4] * x**3,
+                       rng.uniform(-3.0, 0.0), rng.uniform(0.0, 3.0)))
+    for p in range(1, 10):
+        r = rng.uniform(-1.0, 1.0)
+        cases.append((lambda x, p=p, r=r: (x - r) ** p * (1.0 + 0.1 * x), -1.5, 1.7))
+    cases.append((lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0))
+    for f, a, b in cases:
+        for xtol, rtol, maxiter in ((1e-14, 8.9e-16, 200), (1e-6, 1e-10, 5)):
+            want = _evaluations(brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+            got = _evaluations(validator._brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+            assert got == want
