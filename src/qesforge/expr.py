@@ -17,12 +17,13 @@ and the function names sin cos tan sinh cosh tanh exp sqrt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets
-from .errors import ParseError, UnknownIdentifierError
+from .errors import DomainEvaluationError, ParseError, UnknownIdentifierError
 
 PARAMETERS = ("eps0", "eps1")
 FUNCTION_NAMES = tuple(jets.FUNCTIONS)
@@ -77,6 +78,8 @@ class Expression:
 
     root: Node
     source: str
+    # parameter values -> the jet evaluator compiled for them (see eval_jet)
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 _TOKEN_OPS = set("+-*/^()")
@@ -239,48 +242,101 @@ def parse(source: str) -> Expression:
     return Expression(_Parser(source).parse(), source)
 
 
-def _eval(node: Node, x, params, lib):
+def _param(node: Param, params: dict) -> float:
+    if node.name not in params:
+        raise KeyError(f"parameter '{node.name}' not bound")
+    return params[node.name]
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile(node: Node, params: dict):
+    """A float for a constant subtree, else a function of the variable jet
+    that returns the subtree's jet."""
     if isinstance(node, Num):
-        return lib["const"](node.value)
+        return float(node.value)
     if isinstance(node, Var):
-        return x
+        return _identity
     if isinstance(node, Param):
-        if node.name not in params:
-            raise KeyError(f"parameter '{node.name}' not bound")
-        return lib["const"](params[node.name])
+        return float(_param(node, params))
     if isinstance(node, Neg):
-        return -_eval(node.operand, x, params, lib)
+        return _lift(operator.neg, _compile(node.operand, params))
     if isinstance(node, BinOp):
-        a = _eval(node.left, x, params, lib)
-        b = _eval(node.right, x, params, lib)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return lib["div"](a, b)
+        return _lift(_BINARY[node.op], _compile(node.left, params), _compile(node.right, params))
     if isinstance(node, Pow):
-        return lib["pow"](_eval(node.base, x, params, lib), node.exponent)
+        return _lift(lambda a, n=node.exponent: a**n, _compile(node.base, params))
     if isinstance(node, Call):
-        return lib[node.func](_eval(node.arg, x, params, lib))
+        return _lift(jets.FUNCTIONS[node.func], _compile(node.arg, params))
     raise TypeError(f"unknown node {node!r}")
 
 
-def eval_jet(e: Expression, x0: float, params: dict) -> jets.Jet:
-    """Jet of the represented function at x0 with all parameters bound.
+def _identity(x):
+    return x
 
-    x0 may be a 1-D array of points: the AST is then walked once and the
-    result is a batch jet (see ``jets``)."""
-    lib = {"const": lambda v: jets.constant(v, x0), "div": lambda a, b: a / b, "pow": lambda a, n: a**n}
-    lib.update(jets.FUNCTIONS)
-    return _eval(e.root, jets.variable(x0), params, lib)
+
+def _lift(op, *parts):
+    """op over compiled operands.  Constant operands fold to a float through
+    the same jet operation on one-coefficient jets, so a/b stays a*(1/b) and
+    c^3 keeps the squaring ladder; a fold that raises is left to evaluation,
+    where the error can name the point.  Between a jet and a float the jet's
+    own operator runs, as it does between a jet and a constant jet."""
+    if not any(callable(p) for p in parts):
+        try:
+            return op(*(jets.Jet(0.0, (p,)) for p in parts)).value
+        except DomainEvaluationError:
+            return lambda x: op(*(jets.constant(p, x.x0, len(x.coeffs)) for p in parts))
+    if len(parts) == 1:
+        (a,) = parts
+        return lambda x: op(a(x))
+    a, b = parts
+    if not callable(a):
+        return lambda x: op(a, b(x))
+    if not callable(b):
+        return lambda x: op(a(x), b)
+    return lambda x: op(a(x), b(x))
+
+
+def eval_jet(e: Expression, x0: float, params: dict, n: int = jets.N_COEFF) -> jets.Jet:
+    """Jet of n coefficients of the represented function at x0, with all
+    parameters bound.
+
+    x0 may be a 1-D array of points: the result is then a batch jet (see
+    ``jets``).  The expression is compiled into a tree of closures once per
+    set of parameter values and kept on the expression."""
+    key = tuple(map(params.get, PARAMETERS))
+    f = e.compiled.get(key)
+    if f is None:
+        f = e.compiled[key] = _compile(e.root, params)
+    if callable(f):
+        return f(jets.variable(x0, n))
+    return jets.constant(f, x0, n)
+
+
+def _eval(node: Node, x, params):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Param):
+        return _param(node, params)
+    if isinstance(node, Neg):
+        return -_eval(node.operand, x, params)
+    if isinstance(node, BinOp):
+        return _ARRAY_LIB[node.op](_eval(node.left, x, params), _eval(node.right, x, params))
+    if isinstance(node, Pow):
+        return _ARRAY_LIB["^"](_eval(node.base, x, params), node.exponent)
+    if isinstance(node, Call):
+        return _ARRAY_LIB[node.func](_eval(node.arg, x, params))
+    raise TypeError(f"unknown node {node!r}")
 
 
 _ARRAY_LIB = {
-    "const": lambda v: v,
-    "div": np.divide,
-    "pow": lambda a, n: np.power(a, n) if n >= 0 else 1.0 / np.power(a, -n),
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": np.divide,
+    "^": lambda a, n: np.power(a, n) if n >= 0 else 1.0 / np.power(a, -n),
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
@@ -296,7 +352,7 @@ def eval_array(e: Expression, x: np.ndarray, params: dict) -> np.ndarray:
     """Vectorized plain-value evaluation (no domain diagnostics; NaN/inf propagate)."""
     xv = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _eval(e.root, xv, params, _ARRAY_LIB)
+        out = _eval(e.root, xv, params)
     return np.full_like(xv, out) if np.ndim(out) == 0 else out
 
 

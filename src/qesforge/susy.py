@@ -120,26 +120,37 @@ class _Chain(NamedTuple):
     h: object
 
 
-def _w0_w1(wp, pair: EnergyPair, d, cancel):
-    """W0 and W1 of one W+ branch, the chain step that needs no U (see _chain)."""
-    diff0 = cancel(d(wp) - 2.0 * pair.eps0) / wp
-    return (wp - diff0) * 0.5, (wp + diff0) * 0.5
+# The stage at which the chain computes each member (a stage runs after every
+# earlier one); and the Taylor coefficients of U that a member's value needs:
+# W+ and W~+ read U', W0, W1, W2 and g one derivative more, h two.  A
+# member's slope needs one coefficient more.
+_STAGE = {"wp": 0, "w0": 1, "w1": 2, "wt": 3, "w2": 3, "g": 4, "h": 5}
+_U_TERMS = {"wp": 2, "wt": 2, "w0": 3, "w1": 3, "w2": 3, "g": 3, "h": 4}
 
 
-def _chain(wp, u, pair: EnergyPair, d, cancel) -> _Chain:
-    """The chain of one W+ branch, over jets or Laurent series alike.
+def _chain(wp, u, pair: EnergyPair, d, cancel, stage: int = 5) -> _Chain:
+    """The chain of one W+ branch, over jets or Laurent series alike, up to
+    the given stage (see _STAGE); later members are None.
 
     d differentiates a series; cancel trims a numerator that cancels at the
     expansion point, which must happen before dividing or roundoff remnants
     turn into spurious pole terms downstream.
     """
-    w0, w1 = _w0_w1(wp, pair, d, cancel)
-    wt = cancel(u) / wp
-    wt_d = d(wt)
-    diff2 = cancel(wt_d - 2.0 * pair.eps1) / wt
-    w2 = (wt + diff2) * 0.5
-    g = (w0 + w2) * wt - wt_d
-    h = d(g) - g * (w2 - w0)
+    w0 = w1 = wt = w2 = g = h = None
+    if stage >= 1:
+        diff0 = cancel(d(wp) - 2.0 * pair.eps0) / wp
+        w0 = (wp - diff0) * 0.5
+    if stage >= 2:
+        w1 = (wp + diff0) * 0.5
+    if stage >= 3:
+        wt = cancel(u) / wp
+        wt_d = d(wt)
+        diff2 = cancel(wt_d - 2.0 * pair.eps1) / wt
+        w2 = (wt + diff2) * 0.5
+    if stage >= 4:
+        g = (w0 + w2) * wt - wt_d
+    if stage >= 5:
+        h = d(g) - g * (w2 - w0)
     return _Chain(wp, wt, w0, w1, w2, g, h)
 
 
@@ -151,6 +162,7 @@ class _Patch:
         self.kind = kind
         self.u_jet = u_jet
         self.branches = {}  # (side, sign) -> _Chain of LaurentPoly, or why its pole cannot cancel
+        self.w0_series = {}  # (side, sign) -> W0's trimmed series in the offset, and its slope
         self.vplus_pole = False
         self.eval_halfwidth = 0.0
 
@@ -173,9 +185,11 @@ def _reduce(x, period: float):
     return xr
 
 
-def stable_discriminant(u_jet: jets.Jet, pair: EnergyPair) -> jets.Jet:
-    """Jet of S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1); total, never raises."""
-    up = jets.differentiate(u_jet)
+def stable_discriminant(u_jet: jets.Jet, pair: EnergyPair, up: jets.Jet | None = None) -> jets.Jet:
+    """Jet of S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1), given U' too if the
+    caller has it; total, never raises."""
+    if up is None:
+        up = jets.differentiate(u_jet)
     return up * up + 4.0 * u_jet * (u_jet + 2.0 * pair.eps0) * (u_jet - 2.0 * pair.eps1)
 
 
@@ -329,7 +343,7 @@ class ConstructedSystem:
         return sorted(out)
 
     def _is_breakpoint(self, x: float) -> bool:
-        s = stable_discriminant(self.u.jet(x), self.pair).value
+        s = stable_discriminant(self.u.jet(x, 2), self.pair).value
         return abs(s) <= 1e-8 * self._s_scale
 
     def _build_branch_map(self):
@@ -404,8 +418,8 @@ class ConstructedSystem:
         decision is left to the parity pairing (None).
         """
         d = self.patch_halfwidth
-        ul = self.u.jet(_reduce(b - d, self.period))
-        ur = self.u.jet(_reduce(b + d, self.period))
+        ul = self.u.jet(_reduce(b - d, self.period), _U_TERMS["wp"] + 1)
+        ur = self.u.jet(_reduce(b + d, self.period), _U_TERMS["wp"] + 1)
         out = {}
         for sl in (+1, -1):
             jl = self._w_direct(ul, sl)
@@ -447,7 +461,7 @@ class ConstructedSystem:
             slope_tol = 1e-6 * max(1.0, 2.0 * e0)
             for side in (+1, -1):
                 xs = patch.x + side * h
-                u_seam = self.u.jet(_reduce(xs, self.period))
+                u_seam = self.u.jet(_reduce(xs, self.period), _U_TERMS["wp"])
                 for sign in (+1, -1):
                     target = self._w_direct(u_seam, sign).value
                     ref = max(1.0, abs(target))
@@ -489,11 +503,13 @@ class ConstructedSystem:
                             patch.x, "branch type changes across a point that is not a breakpoint"
                         )
 
+    def _side_sign(self, patch: _Patch, side: int) -> int:
+        """The sign-map branch on one side of a patch, half a window out."""
+        return self.branch_map.sign_at(patch.x + side * 0.5 * self.patch_halfwidth)
+
     def _active_local(self, patch: _Patch, side: int, sign: int | None = None) -> _Chain:
-        """Local chain on one side of a patch, on the sign-map branch half a window out."""
-        if sign is None:
-            sign = self.branch_map.sign_at(patch.x + side * 0.5 * self.patch_halfwidth)
-        return patch.local(side, sign)
+        """Local chain on one side of a patch, on the sign-map branch unless overridden."""
+        return patch.local(side, self._side_sign(patch, side) if sign is None else sign)
 
     def _register_poles(self):
         """Pole locations and residues of each chain member under the sign map.
@@ -545,7 +561,7 @@ class ConstructedSystem:
         t = np.linspace(0.0, 0.5 * L, 514)[1:-1]
         t = t[(self._near_patches(xm + t)[0] < 0) & (self._near_patches(xm - t)[0] < 0)]
         x = np.column_stack((xm + t, xm - t)).ravel()
-        w = self._w_direct(self.u.jet(x), self.branch_map.sign_at(x)).value if x.size else x
+        w = self._w_direct(self.u.jet(x, _U_TERMS["wp"]), self.branch_map.sign_at(x)).value if x.size else x
         wa, wb = w[0::2], w[1::2]
         keep = ~((np.abs(wa) > 1e3) | (np.abs(wb) > 1e3))
         if not keep.any():
@@ -601,7 +617,10 @@ class ConstructedSystem:
         roundoff is clamped point by point; below it the first offending
         point raises."""
         up = jets.differentiate(u)
-        s = stable_discriminant(u, self.pair)
+        # the rest reads U to the orders U' carries: a shorter jet of U has
+        # the same leading coefficients, so W+ does too, at less cost
+        u = jets.Jet(u.x0, u.coeffs[: len(up.coeffs)])
+        s = stable_discriminant(u, self.pair, up)
         scale = (
             up.value * up.value
             + abs(4.0 * u.value * (u.value + 2.0 * self.pair.eps0) * (u.value - 2.0 * self.pair.eps1))
@@ -643,19 +662,16 @@ class ConstructedSystem:
         """Jet of the branch-resolved W+ at x (sign-map branch unless overridden)."""
         return self._members(x, ("wp",), sign)[0]
 
-    def _direct_members(self, xr, names, sign=None) -> list:
-        """Jets of the named chain members from one jet of U at a reduced point
-        outside the patch windows, or a batch (one sign per point), stopping
-        the chain at the last step a name needs."""
+    def _direct_members(self, xr, names, sign=None, n: int = jets.N_COEFF) -> list:
+        """Jets of the named chain members from one jet of n coefficients of U
+        at a reduced point outside the patch windows, or a batch (one sign per
+        point), stopping the chain at the last member asked for."""
         if sign is None:
             sign = self.branch_map.sign_at(xr)
-        u = self.u.jet(xr)
-        got = {"wp": self._w_direct(u, sign)}
-        if not set(names) <= {"wp", "w0", "w1"}:
-            got = _chain(got["wp"], u, self.pair, jets.differentiate, lambda j: j)._asdict()
-        elif not set(names) <= {"wp"}:
-            got["w0"], got["w1"] = _w0_w1(got["wp"], self.pair, jets.differentiate, lambda j: j)
-        return [got[name] for name in names]
+        u = self.u.jet(xr, n)
+        stage = max(_STAGE[name] for name in names)
+        got = _chain(self._w_direct(u, sign), u, self.pair, jets.differentiate, lambda j: j, stage)
+        return [getattr(got, name) for name in names]
 
     def _members(self, x: float, names, sign: int | None = None) -> list:
         """Jets of the named chain members at x; inside a patch window only
@@ -684,19 +700,22 @@ class ConstructedSystem:
         """(V-, V+) at x, or per point of an array x.  An exact hit of a
         lower-strip-edge point whose active branch vanishes raises: V+ has
         a genuine pole there."""
+        n = _U_TERMS["w0"] + 1  # W0 and its slope
         if not isinstance(x, np.ndarray):
             xr = _reduce(x, self.period)
             patch, t = self._near_patch(xr)
             if patch is None:
-                w0 = self._direct_members(xr, ("w0",), sign)[0]
+                w0 = self._direct_members(xr, ("w0",), sign, n)[0]
                 return _partner_potentials(w0.value, w0.derivative(1))
-            vm, vp = self._window_potentials(patch, np.array([t]), sign)
-            return float(vm[0]), float(vp[0])
+            if patch.vplus_pole and abs(t) < 1e-12 * self.period:
+                raise VplusPoleError(patch.x)
+            w0, slope = self._window_w0(patch, +1 if t >= 0.0 else -1, sign)
+            return _partner_potentials(_series_at(w0, t), _series_at(slope, t))
         xr = _reduce(x.ravel(), self.period)
         window, offset = self._near_patches(xr)
         direct = window < 0
         out = np.empty((2, xr.size))
-        w0 = self._direct_members(xr[direct], ("w0",), sign)[0]
+        w0 = self._direct_members(xr[direct], ("w0",), sign, n)[0]
         out[:, direct] = _partner_potentials(w0.value, w0.derivative(1))
         for p in np.unique(window[~direct]).tolist():
             idx = window == p
@@ -711,11 +730,22 @@ class ConstructedSystem:
         out = np.empty((2, t.size))
         for side, on in ((+1, t >= 0.0), (-1, t < 0.0)):
             if on.any():
-                lp = self._active_local(patch, side, sign).w0.structurally_trimmed(1e-12)
-                w0 = local_series.LaurentPoly(0.0, lp.valuation, lp.coeffs)
-                # trimmed() drops the zero term a constant leaves in the slope
-                out[:, on] = _partner_potentials(w0(t[on]), w0.derivative().trimmed()(t[on]))
+                w0, slope = self._window_w0(patch, side, sign)
+                out[:, on] = _partner_potentials(w0(t[on]), slope(t[on]))
         return out
+
+    def _window_w0(self, patch: _Patch, side: int, sign: int | None):
+        """W0's local series on one side of a patch, in the offset from
+        patch.x, and its slope: trimmed once per (side, sign) and kept."""
+        if sign is None:
+            sign = self._side_sign(patch, side)
+        got = patch.w0_series.get((side, sign))
+        if got is None:
+            lp = self._active_local(patch, side, sign).w0.structurally_trimmed(1e-12)
+            w0 = local_series.LaurentPoly(0.0, lp.valuation, lp.coeffs)
+            # trimmed() drops the zero term a constant leaves in the slope
+            got = patch.w0_series[(side, sign)] = (w0, w0.derivative().trimmed())
+        return got
 
     # ------------------------------------------------------------------
     # wavefunctions
@@ -771,6 +801,20 @@ class ConstructedSystem:
     @property
     def energies(self):
         return (0.0, self.pair.eps0, self.pair.top)
+
+
+def _series_at(lp: local_series.LaurentPoly, t: float) -> float:
+    """lp(t) for a series expanded at 0 and a float offset t, rounded as
+    LaurentPoly's numpy evaluation of a one-point array rounds."""
+    acc = 0.0
+    for c in reversed(lp.coeffs):
+        acc = acc * t + c
+    if lp.valuation:
+        # numpy's array power (reciprocal, square or a SIMD pow) rounds
+        # unlike libm's pow, so the power comes from a one-point array
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acc = acc * float((np.array([t]) ** float(lp.valuation))[0])
+    return acc
 
 
 def _partner_potentials(w0, slope):
@@ -894,7 +938,7 @@ class _StateAssembly:
         direct = window < 0
         if direct.any():
             xd = xs[direct]
-            chain = sysm._direct_members(xd, CHAIN_NAMES)
+            chain = sysm._direct_members(xd, CHAIN_NAMES, n=max(_U_TERMS[name] for name in CHAIN_NAMES))
             for i, jet in enumerate(chain):
                 v = jet.value
                 for (q, rho) in self.images[i]:
@@ -935,10 +979,11 @@ class _StateAssembly:
         window, offset = sysm._near_patches(xr)
         direct, inside = np.flatnonzero(window < 0), np.flatnonzero(window >= 0)
         names = [name for _, name in states if name]
+        n = max(_U_TERMS[name] for name in names)
         if direct.size >= BATCH_MIN:
-            factors = [jet.value for jet in sysm._direct_members(xr[direct], names)]
+            factors = [jet.value for jet in sysm._direct_members(xr[direct], names, n=n)]
         else:  # one float jet per point beats a small batch
-            factors = [[j.value for j in sysm._direct_members(v, names)] for v in xr[direct].tolist()]
+            factors = [[j.value for j in sysm._direct_members(v, names, n=n)] for v in xr[direct].tolist()]
             factors = np.reshape(factors, (direct.size, len(names))).T
         factors = dict(zip(names, factors))
         out = []

@@ -74,15 +74,16 @@ class CompiledU:
     def arr(self, x):
         return expr.eval_array(self.expression, x, self.params)
 
-    def jet(self, x: float) -> jets.Jet:
-        return expr.eval_jet(self.expression, x, self.params)
+    def jet(self, x: float, n: int = jets.N_COEFF) -> jets.Jet:
+        """Jet of the first n Taylor coefficients of U at x (or a batch)."""
+        return expr.eval_jet(self.expression, x, self.params, n)
 
     def value(self, x: float) -> float:
         """U(x) without derivatives, so root refinement builds no jet."""
         return float(self.arr(x))
 
     def deriv(self, x: float, k: int = 1) -> float:
-        return self.jet(x).derivative(k)
+        return self.jet(x, k + 1).derivative(k)
 
 
 def _refine_transversal(f, lo: float, hi: float) -> float:

@@ -182,3 +182,59 @@ def test_eval_jet_batch_exp_family(monkeypatch):
     batch = _coeff_rows(e, params, True)
     monkeypatch.setattr(jets, "_lib", lambda v: np)
     assert np.array_equal(batch, _coeff_rows(e, params, False))
+
+
+TRUNCATION_SOURCES = [RAZAVY_U, DETUNED_U, "eps0*exp(-cos(2*x)) - cosh(sin(x)) + eps1*sinh(x)"]
+
+
+@pytest.mark.parametrize("source", TRUNCATION_SOURCES)
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+def test_shorter_jets_are_leading_coefficients(source, batch):
+    # a jet of n coefficients holds the first n of the full jet, bit for
+    # bit (signed zeros included), at a point and over a batch
+    from qesforge import jets
+
+    e = expr.parse(source)
+    params = {"eps0": 2.8, "eps1": 0.5}
+    xs = BATCH_X if batch else BATCH_X[:16].tolist()
+
+    def rows(n):
+        if batch:
+            return np.array([np.broadcast_to(c, BATCH_X.shape) for c in expr.eval_jet(e, BATCH_X, params, n).coeffs])
+        return np.array([expr.eval_jet(e, x, params, n).coeffs for x in xs]).T
+
+    full = rows(jets.N_COEFF)
+    for n in range(1, jets.N_COEFF + 1):
+        got = rows(n)
+        assert got.shape == (n,) + full.shape[1:]
+        assert got.tobytes() == full[:n].tobytes(), n
+
+
+def test_constant_subtrees_fold_like_constant_jets():
+    # a folded constant rounds as a jet of constants does: a/b as a*(1/b)
+    # and c^3 by the squaring ladder c*(c*c), not as Python's a/b or c**3
+    third = 1.0 * (1.0 / 3.0)
+    assert expr.eval_jet(expr.parse("3/5 + x"), 0.0, {}, 1).value == 3.0 * (1.0 / 5.0) != 3 / 5
+    assert expr.eval_jet(expr.parse("(1/3)^3 + x"), 0.0, {}, 1).value == third * (third * third) != third**3
+    # the whole expression constant: a constant jet of the asked length
+    assert expr.eval_jet(expr.parse("eps0 * 2"), 0.5, P, 3).coeffs == (2.0, 0.0, 0.0)
+
+
+def test_constant_domain_error_names_the_point():
+    from qesforge.errors import DomainEvaluationError
+
+    e = expr.parse("x + 1/(eps0 - 1)")
+    for x0 in (0.25, 0.75):
+        with pytest.raises(DomainEvaluationError) as exc_info:
+            expr.eval_jet(e, x0, P)
+        assert exc_info.value.x0 == x0
+
+
+def test_compiled_once_per_parameter_values():
+    e = expr.parse(RAZAVY_U)
+    first = expr.eval_jet(e, 0.3, P)
+    expr.eval_jet(e, 0.4, P)
+    assert len(e.compiled) == 1
+    other = expr.eval_jet(e, 0.3, {"eps0": 2.0, "eps1": 0.5})
+    assert len(e.compiled) == 2
+    assert other.value == 2.0 * first.value

@@ -232,3 +232,50 @@ def test_piecewise_runs_each_branch_on_its_points():
     # a scalar condition picks one branch
     one = jets.variable(0.5)
     assert jets.piecewise(False, inverse, doubled, one).coeffs == doubled(one).coeffs
+
+
+# -- carried length -------------------------------------------------------------
+
+
+def test_length_is_the_carried_orders():
+    assert jets.variable(0.5, 1).coeffs == (0.5,)
+    assert jets.variable(0.5, 3).coeffs == (0.5, 1.0, 0.0)
+    assert jets.constant(2.0, 0.5, 2).coeffs == (2.0, 0.0)
+    x = jets.variable(0.5, 4)
+    # a mixed-length operation keeps the shorter length
+    for got in (x + jets.sin(jets.variable(0.5)), jets.variable(0.5) * x, jets.variable(0.5) / (2.0 + x)):
+        assert len(got.coeffs) == 4
+    assert len((1.0 / x).coeffs) == len((x**3).coeffs) == len(jets.sqrt(x).coeffs) == 4
+
+
+def test_differentiate_drops_the_top_coefficient():
+    x = jets.variable(0.3)
+    j = jets.sin(x) * x
+    once = jets.differentiate(j)
+    assert len(once.coeffs) == jets.N_COEFF - 1
+    assert once.coeffs == tuple((k + 1) * j.coeffs[k + 1] for k in range(jets.N_COEFF - 1))
+    assert len(jets.differentiate(j, 3).coeffs) == jets.N_COEFF - 3
+    with pytest.raises(ValueError):
+        jets.differentiate(j, jets.N_COEFF)
+
+
+def test_derivative_past_the_carried_orders_raises():
+    j = jets.exp(jets.variable(0.2, 3))
+    assert j.derivative(2) == pytest.approx(math.exp(0.2), rel=1e-15)
+    with pytest.raises(ValueError):
+        j.derivative(3)
+    with pytest.raises(ValueError):
+        jets.differentiate(j).derivative(2)
+    with pytest.raises(ValueError):
+        jets.Jet(0.0, ())
+
+
+@pytest.mark.parametrize("name, fn, reference", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_short_jets_are_leading_coefficients(name, fn, reference):
+    # every recurrence is triangular: a jet of n coefficients repeats the
+    # first n of the full one bit for bit
+    for x0 in BATCH_X[:8].tolist():
+        full = fn(jets.variable(x0)).coeffs
+        for n in range(3, jets.N_COEFF + 1):
+            got = fn(jets.variable(x0, n)).coeffs
+            assert np.array(got).tobytes() == np.array(full[: len(got)]).tobytes(), (name, n)

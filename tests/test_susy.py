@@ -7,6 +7,7 @@ closed forms of the trigonometric double-well member (eps0 = 1)."""
 
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import quad_oracle
 from numpy.polynomial.chebyshev import Chebyshev
 
-from qesforge import expr, susy, validator
+from qesforge import expr, jets, susy, validator
 from qesforge.errors import (
     BranchInconsistencyError,
     InadmissibleInputError,
@@ -509,9 +510,9 @@ def eval_jet_calls(monkeypatch):
     calls = []
     original = expr.eval_jet
 
-    def counting(e, x0, params):
+    def counting(e, x0, params, n=jets.N_COEFF):
         calls.append(x0)
-        return original(e, x0, params)
+        return original(e, x0, params, n)
 
     monkeypatch.setattr(expr, "eval_jet", counting)
     return calls
@@ -537,6 +538,72 @@ def test_one_u_jet_per_point(beta_b0, eval_jet_calls):
         assert sorted(seen) == sorted(xs), name
         if name in ("V", "W"):
             assert len(eval_jet_calls) == len(xs), name
+
+
+# the jet length of U each caller asks for: the orders the members it reads
+# need (W+ and W~+ 2, W0, W1, W2 and g 3, h 4) plus one for a slope; the
+# public jets and the zero-order probe take the full length
+STATED_U_TERMS = {
+    "potentials": 4,
+    "_regular_samples": 3,
+    "_match_patches": 2,
+    "_verify_oddness": 2,
+    "_is_breakpoint": 2,
+    "_glue_preference": 3,
+    "_classify_points": jets.N_COEFF,
+    "_zero_order": jets.N_COEFF,
+    "chain": jets.N_COEFF,
+    "w_plus": jets.N_COEFF,
+}
+
+
+def test_callers_request_the_orders_they_read(monkeypatch):
+    requested = {}
+    original = expr.eval_jet
+    plumbing = {"jet", "_direct_members", "_members", "<listcomp>"}
+
+    def recording(e, x0, params, n=jets.N_COEFF):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in plumbing:
+            frame = frame.f_back
+        name = frame.f_code.co_name
+        if name == "deriv":  # CompiledU.deriv(x, k) reads k + 1 coefficients
+            name = f"deriv k={frame.f_locals['k']}"
+        elif name == "evaluate":  # the states: psi- reads W+ and g, psi+ h
+            name = f"evaluate {frame.f_locals['names']}"
+        requested.setdefault(name, set()).add(n)
+        return original(e, x0, params, n)
+
+    monkeypatch.setattr(expr, "eval_jet", recording)
+    system = construct(DETUNED, 2.8, 0.5, TWO_PI)
+    xs = clean_points(system, 40)
+    system.wavefunctions_minus(np.array(xs))
+    system.wavefunctions_minus(xs[0])
+    system.wavefunctions_plus(np.array(xs))
+    system.potentials(xs[0])
+    system.potentials(np.array(xs))
+    system.superpotentials(xs[0])
+    system.w_plus(xs[0])
+    stated = dict(STATED_U_TERMS)
+    stated.update({"deriv k=1": 2, "deriv k=2": 3, "deriv k=3": 4})
+    stated.update({"evaluate ['wp', 'g']": 3, "evaluate ['h']": 4})
+    assert requested == {name: {n} for name, n in stated.items()}
+
+
+def test_chain_carries_only_valid_coefficients(razavy1, beta_b0, beta_bnz, touch):
+    # every coefficient a public chain jet carries is the one a U jet two
+    # orders longer gives: none stands for an order differentiation cannot
+    # know (x = 1 on the detuned member is where padding showed most)
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        xs = clean_points(system, 30) + [1.0]
+        for x in xs:
+            if system._near_patch(x)[0] is not None:
+                continue
+            chain = system.chain(x)
+            longer = system._direct_members(x, susy._Chain._fields, n=jets.N_COEFF + 2)
+            assert [len(j.coeffs) for j in chain] == [6, 6, 5, 5, 5, 5, 4]
+            for short, long in zip(chain, longer):
+                assert short.coeffs == long.coeffs[: len(short.coeffs)]
 
 
 def test_validated_build_samples_discriminant_once(monkeypatch):
@@ -629,7 +696,7 @@ def test_oddness_probe_reports_negative_discriminant_like_scalar_probe():
 
 def test_in_window_potentials_read_one_series(beta_b0, monkeypatch):
     # V needs W0 alone: inside a window no other member's series is read,
-    # for a scalar point or a batch
+    # for a scalar point or a batch, and each side's is read once and kept
     read = []
     active = susy.ConstructedSystem._active_local
 
@@ -643,13 +710,49 @@ def test_in_window_potentials_read_one_series(beta_b0, monkeypatch):
 
     monkeypatch.setattr(susy.ConstructedSystem, "_active_local", lambda *args: Recording(active(*args)))
     for patch in beta_b0.patches:
+        patch.w0_series.clear()
         x = patch.x + 0.5 * patch.eval_halfwidth
         read.clear()
         beta_b0.potentials(x)
         assert read == ["w0"], patch.kind
         read.clear()
         beta_b0.potentials(np.array([x, x - patch.eval_halfwidth]))
-        assert read == ["w0", "w0"], patch.kind
+        assert read == ["w0"], patch.kind  # the left side's; the right one is kept
+        read.clear()
+        beta_b0.potentials(x - patch.eval_halfwidth)
+        beta_b0.potentials(np.array([x, x - patch.eval_halfwidth]))
+        assert read == [], patch.kind
+
+
+def test_in_window_potentials_follow_the_sign(beta_b0, touch):
+    # each (side, sign) keeps its own W0 series: a scalar window point on
+    # either branch, in any call order, gives what that branch's series
+    # gives through LaurentPoly on a one-point array, bit for bit
+    for system in (beta_b0, touch):
+        for patch in system.patches:
+            for side in (+1, -1):
+                x = patch.x + side * 0.5 * patch.eval_halfwidth
+                t = np.array([system._near_patch(x)[1]])
+                for sign in (None, +1, -1, None):
+                    try:
+                        got = system.potentials(x, sign)
+                    except UnremovablePoleError:
+                        continue
+                    lp = system._active_local(patch, side, sign).w0.structurally_trimmed(1e-12)
+                    w0 = LaurentPoly(0.0, lp.valuation, lp.coeffs)
+                    want = susy._partner_potentials(w0(t), w0.derivative().trimmed()(t))
+                    assert got == (float(want[0][0]), float(want[1][0])), (patch.kind, side, sign)
+
+
+def test_scalar_series_sum_rounds_like_the_array_path():
+    # scalar in-window V sums floats; it must round as LaurentPoly's numpy
+    # call on a one-point array, whose power of the offset is numpy's
+    # (reciprocal, square or its own pow), not libm's pow
+    rng = np.random.default_rng(5)
+    for valuation in (-2, -1, 0, 1, 2, 3):
+        lp = LaurentPoly(0.0, valuation, tuple(rng.normal(size=6)))
+        for t in rng.uniform(-0.05, 0.05, 2000) * 10.0 ** rng.uniform(-6, 0, 2000):
+            assert susy._series_at(lp, float(t)) == float(lp(np.array([t]))[0]), valuation
 
 
 def test_dropped_system_is_freed_without_cycle_collection():
@@ -810,14 +913,15 @@ def test_off_window_potentials_stop_at_w0(beta_b0, monkeypatch):
     chain = susy._chain
 
     def recording(*args):
-        built.append(args)
-        return chain(*args)
+        built.append(chain(*args))
+        return built[-1]
 
     monkeypatch.setattr(susy, "_chain", recording)
     v = [beta_b0.potentials(x) for x in xs]
     batch = beta_b0.potentials(np.array(xs))
     got = [beta_b0._members(x, ("w0",))[0] for x in xs]
-    assert not built
+    assert len(built) == 2 * len(xs) + 1
+    assert all(c.w0 is not None and c.wt is None for c in built)
     for w0, jet, (vm, vp) in zip(want, got, v):
         assert jet.coeffs == w0.coeffs
         assert (vm, vp) == (0.5 * (w0.value**2 - w0.derivative(1)), 0.5 * (w0.value**2 + w0.derivative(1)))
