@@ -20,11 +20,28 @@ wherever the elementary functions do: they call ``math`` on floats and
 numpy on arrays, which agree exactly for sqrt and, on common hardware, for
 sin and cos, while exp, sinh and cosh may differ in the last bit.  A domain
 error in a batch is reported at its first offending point.
+
+A coefficient can also be a ``Traced`` float, which records what is done
+with it (an AD tape, as in Griewank & Walther): each operation computes
+its float result and appends one Python statement to the tape that the
+traced value holds, and an operation between plain floats folds at once.
+``trace(fn, x)`` runs fn on a traced x and compiles the tape into a
+straight-line function of x that repeats fn's float operations in order,
+so it returns the same coefficients bit for bit.  Every comparison that
+reads a traced value (the domain checks, the zero skip of a product, a
+caller's branch) returns the outcome observed at the recorded x and
+appends a guard: an ``if`` that makes the compiled function return None,
+a side exit, wherever the outcome differs.  A caller that meets a side
+exit evaluates the jets again, where the check raises or takes the other
+branch.  A traced value has no truth value and no float conversion, so an
+unrecorded decision or constant fails loudly instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import types
 
 import numpy as np
 
@@ -102,7 +119,7 @@ class Jet:
             out = [0.0] * n  # floats: += never writes into an operand's array
             for i in range(n):
                 ai = a[i]
-                if ai.__class__ is float and ai == 0.0:
+                if (ai.__class__ is float or ai.__class__ is Traced) and ai == 0.0:
                     continue
                 for j in range(n - i):
                     out[i + j] += ai * b[j]
@@ -126,12 +143,16 @@ class Jet:
             raise TypeError("jet exponent must be an integer")
         if n < 0:
             return 1.0 / (self ** (-n))
-        result = constant(1.0, self.x0, len(self.coeffs))
+        if n == 0:
+            return constant(1.0, self.x0, len(self.coeffs))
+        # the ladder starts from 0.0 + base, which is what a unit constant
+        # jet times the base gives, -0.0 -> +0.0 included, without the product
+        result = None
         base = self
         k = n
         while True:
             if k & 1:
-                result = result * base
+                result = Jet(self.x0, tuple([0.0 + c for c in base.coeffs])) if result is None else result * base
             k >>= 1
             if not k:
                 return result
@@ -194,7 +215,10 @@ def piecewise(cond, when_true, when_false, *args):
 
 
 def _lib(v):
-    """The elementary functions for a coefficient: numpy on arrays, math on floats."""
+    """The elementary functions for a coefficient: numpy on arrays, math on
+    floats, recording ones on traced floats."""
+    if v.__class__ is Traced:
+        return _TRACED_LIB
     return np if isinstance(v, np.ndarray) else math
 
 
@@ -225,9 +249,12 @@ def differentiate(j: Jet, n: int = 1) -> Jet:
 
 
 def variable(x0, n: int = N_COEFF) -> Jet:
-    """The identity function x as a jet of n coefficients at x0 (a float,
-    or a 1-D array of points)."""
-    value = np.asarray(x0, dtype=float) if isinstance(x0, np.ndarray) else float(x0)
+    """The identity function x as a jet of n coefficients at x0 (a float, a
+    traced float, or a 1-D array of points)."""
+    if isinstance(x0, np.ndarray):
+        value = np.asarray(x0, dtype=float)
+    else:
+        value = x0 if x0.__class__ is Traced else float(x0)
     return Jet(x0, ((value, 1.0) + (0.0,) * (n - 2))[:n])
 
 
@@ -326,3 +353,160 @@ FUNCTIONS = {
     "exp": exp,
     "sqrt": sqrt,
 }
+
+
+# -- recording ---------------------------------------------------------------------
+
+_ELEMENTARY = ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
+
+
+class _Tape:
+    """The statements one traced run recorded, in order, each as (the name
+    it assigns or None for a guard, its source, the names it reads, and
+    whether it stays when nothing reads it: guards, and calls, which may
+    raise)."""
+
+    def __init__(self):
+        self.lines = []
+        self.consts = {}  # names for the constants no literal spells (inf, nan)
+
+    def operand(self, v):
+        """(source, name read or None) for a traced value or a constant."""
+        if v.__class__ is Traced:
+            if v.tape is not self:
+                raise ValueError("traced values from different tapes")
+            return v.name, v.name
+        # each statement is one operation on names and literals, where a
+        # negative literal needs no parentheses
+        if isinstance(v, (int, np.integer)):
+            return repr(int(v)), None
+        v = float(v)
+        if math.isfinite(v):
+            return repr(v), None
+        name = f"c{len(self.consts)}"
+        self.consts[name] = v
+        return name, None
+
+    def assign(self, value, text: str, reads: tuple, call: bool = False) -> "Traced":
+        name = f"t{len(self.lines)}"
+        self.lines.append((name, f"{name} = {text}", reads, call))
+        return Traced(self, name, value)
+
+    def guard(self, held, text: str, reads: tuple) -> bool:
+        held = bool(held)
+        self.lines.append((None, f"if {'not ' if held else ''}{text}: return None", reads, True))
+        return held
+
+    def compile(self, out):
+        """The function of x that returns the coefficients of the jets in
+        out, keeping every guard and the statements they or out read."""
+        results, live = [], set()
+        for jet in out:
+            parts = [self.operand(c) for c in jet.coeffs]
+            results.append("(" + "".join(src + ", " for src, _ in parts) + ")")
+            live.update(name for _, name in parts)
+        kept = []
+        for target, line, reads, kept_anyway in reversed(self.lines):
+            if kept_anyway or target in live:
+                kept.append(line)
+                live.update(reads)
+        source = "def kernel(x):\n" + "".join(f"    {line}\n" for line in reversed(kept))
+        source += f"    return ({''.join(r + ', ' for r in results)})\n"
+        namespace = {name: getattr(math, name) for name in _ELEMENTARY}
+        namespace.update(self.consts)
+        exec(compile(source, "<jets.trace>", "exec"), namespace)
+        kernel = namespace["kernel"]
+        kernel.source = source
+        return kernel
+
+
+def _is_operand(v) -> bool:
+    cls = v.__class__
+    return cls is Traced or cls is float or cls is int or isinstance(v, (np.floating, np.integer))
+
+
+def _traced_arithmetic(symbol: str, op):
+    def record(a, b):
+        tape = a.tape if a.__class__ is Traced else b.tape
+        (sa, na), (sb, nb) = tape.operand(a), tape.operand(b)
+        value = op(a.value if a.__class__ is Traced else a, b.value if b.__class__ is Traced else b)
+        return tape.assign(value, f"{sa} {symbol} {sb}", (na, nb))
+
+    def forward(self, other):
+        return record(self, other) if _is_operand(other) else NotImplemented
+
+    def reflected(self, other):
+        return record(other, self) if _is_operand(other) else NotImplemented
+
+    return forward, reflected
+
+
+def _traced_comparison(symbol: str, op):
+    def compare(self, other):
+        if not _is_operand(other):
+            return NotImplemented
+        (sa, na), (sb, nb) = self.tape.operand(self), self.tape.operand(other)
+        held = op(self.value, other.value if other.__class__ is Traced else other)
+        return self.tape.guard(held, f"{sa} {symbol} {sb}", (na, nb))
+
+    return compare
+
+
+class Traced:
+    """A float at the traced point that records what is done with it on its
+    tape (see the module docstring)."""
+
+    __slots__ = ("tape", "name", "value")
+
+    # numpy scalars on the left of an operator defer to the reflected method
+    __array_ufunc__ = None
+
+    def __init__(self, tape: _Tape, name: str, value):
+        self.tape = tape
+        self.name = name
+        self.value = value
+
+    def __repr__(self):
+        return f"Traced({self.name}={self.value!r})"
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value: compare it, which records a guard")
+
+    __add__, __radd__ = _traced_arithmetic("+", operator.add)
+    __sub__, __rsub__ = _traced_arithmetic("-", operator.sub)
+    __mul__, __rmul__ = _traced_arithmetic("*", operator.mul)
+    __truediv__, __rtruediv__ = _traced_arithmetic("/", operator.truediv)
+    __eq__ = _traced_comparison("==", operator.eq)
+    __ne__ = _traced_comparison("!=", operator.ne)
+    __lt__ = _traced_comparison("<", operator.lt)
+    __le__ = _traced_comparison("<=", operator.le)
+    __gt__ = _traced_comparison(">", operator.gt)
+    __ge__ = _traced_comparison(">=", operator.ge)
+
+    def __neg__(self):
+        return self.tape.assign(-self.value, f"-{self.name}", (self.name,))
+
+    def __abs__(self):
+        return self.tape.assign(abs(self.value), f"abs({self.name})", (self.name,))
+
+
+def _traced_elementary(name: str):
+    f = getattr(math, name)
+
+    def call(v: Traced) -> Traced:
+        return v.tape.assign(f(v.value), f"{name}({v.name})", (v.name,), call=True)
+
+    return call
+
+
+_TRACED_LIB = types.SimpleNamespace(**{name: _traced_elementary(name) for name in _ELEMENTARY})
+
+
+def trace(fn, x: float):
+    """Record fn, from a point x to a sequence of jets, at the float x and
+    compile it: the result maps a float to the tuple of the jets'
+    coefficient tuples, computed by fn's float operations in fn's order,
+    or to None where a comparison fn made comes out otherwise (a side
+    exit).  The recorded fn may raise; then nothing is compiled."""
+    tape = _Tape()
+    return tape.compile(fn(Traced(tape, "x", float(x))))

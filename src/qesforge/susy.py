@@ -20,6 +20,7 @@ import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,10 @@ CHEB_DEGREE_MAX = 8192
 CHEB_TAIL_REL = 1e-10
 CHAIN_NAMES = ("w0", "w1", "w2")
 BATCH_MIN = 12  # state batches below this many points run on Python floats
+# Recorded W0 kernels kept per (sign, U order) for scalar V off the windows:
+# one per stable form of W+, and room for ones recorded where a guard's
+# outcome is rare (a coefficient exactly 0)
+KERNELS_PER_KEY = 4
 
 # Length of the high-order local Taylor data for U (from its Fourier modes)
 # and of the series branches solved from it.
@@ -235,6 +240,7 @@ class ConstructedSystem:
         self._register_poles()
         self._verify_oddness()
         self._assembly = None
+        self._kernels = {}  # (sign, U order) -> W0 kernels from jets.trace, see _scalar_potentials
 
     # ------------------------------------------------------------------
     # construction phases
@@ -699,14 +705,14 @@ class ConstructedSystem:
     def potentials(self, x, sign: int | None = None):
         """(V-, V+) at x, or per point of an array x.  An exact hit of a
         lower-strip-edge point whose active branch vanishes raises: V+ has
-        a genuine pole there."""
+        a genuine pole there.  A scalar x off the windows runs a recorded
+        kernel where one applies (see _scalar_potentials)."""
         n = _U_TERMS["w0"] + 1  # W0 and its slope
         if not isinstance(x, np.ndarray):
             xr = _reduce(x, self.period)
             patch, t = self._near_patch(xr)
             if patch is None:
-                w0 = self._direct_members(xr, ("w0",), sign, n)[0]
-                return _partner_potentials(w0.value, w0.derivative(1))
+                return self._scalar_potentials(xr, self.branch_map.sign_at(xr) if sign is None else sign, n)
             if patch.vplus_pole and abs(t) < 1e-12 * self.period:
                 raise VplusPoleError(patch.x)
             w0, slope = self._window_w0(patch, +1 if t >= 0.0 else -1, sign)
@@ -721,6 +727,29 @@ class ConstructedSystem:
             idx = window == p
             out[:, idx] = self._window_potentials(self.patches[p], offset[idx], sign)
         return out[0].reshape(x.shape), out[1].reshape(x.shape)
+
+    def _scalar_potentials(self, xr: float, sign: int, n: int):
+        """(V-, V+) at a reduced point off the windows from W0 and its slope.
+
+        The W0 kernels recorded for the sign (jets.trace of the jet path
+        below) run first; at a side exit of each, or with none, the jet path
+        runs and raises as it does, and a call it completes records one
+        more kernel while the key has room."""
+        kernels = self._kernels.setdefault((sign, n), [])
+        for i, kernel in enumerate(kernels):
+            try:
+                got = kernel(xr)
+            except (ArithmeticError, ValueError):  # the jet path raises its own
+                break
+            if got is not None:
+                if i:  # neighbouring points mostly take the same one
+                    kernels.insert(0, kernels.pop(i))
+                (w0,) = got
+                return _partner_potentials(w0[0], w0[1] * 1)  # as Jet.derivative(1)
+        w0 = self._direct_members(xr, ("w0",), sign, n)[0]
+        if len(kernels) < KERNELS_PER_KEY:
+            kernels.append(jets.trace(partial(self._direct_members, names=("w0",), sign=sign, n=n), xr))
+        return _partner_potentials(w0.value, w0.derivative(1))
 
     def _window_potentials(self, patch: _Patch, t: np.ndarray, sign: int | None):
         """(V-, V+) at the offsets t of points in one patch window, from the
@@ -913,18 +942,20 @@ class _StateAssembly:
 
     def _phi(self, x: np.ndarray, chains=range(len(CHAIN_NAMES))) -> np.ndarray:
         """Integrals of the pole-free W0, W1, W2 from 0 to each x in [0, L], a
-        row each (those of other chains may be left unset on Python floats);
-        both loops round as chebval does, whatever the batch size."""
+        row each; the rows of chains not asked for are left unset.  Both
+        loops round as chebval does, whatever the batch size."""
         seg = np.minimum(np.searchsorted(self.seg_bounds, x, side="right") - 1, len(self.seg_bounds) - 2)
         out = np.empty((len(CHAIN_NAMES), x.size))
+        rows = list(chains)
         for k in set(seg.tolist()):
             idx = np.flatnonzero(seg == k)
             off, scl, base, coef, lists = self._segments[k]
             y = off + scl * x[idx]
             if idx.size >= BATCH_MIN:
-                out[:, idx] = base[:, None] + _clenshaw_rows(coef, y)
+                # the columns are independent sums, so a subset rounds alike
+                out[np.ix_(rows, idx)] = base[rows, None] + _clenshaw_rows(coef[:, rows], y)
             else:
-                for i in chains:
+                for i in rows:
                     out[i, idx] = base[i] + np.array([_clenshaw(lists[i], v) for v in y.tolist()])
         return out
 

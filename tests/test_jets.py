@@ -279,3 +279,125 @@ def test_short_jets_are_leading_coefficients(name, fn, reference):
         for n in range(3, jets.N_COEFF + 1):
             got = fn(jets.variable(x0, n)).coeffs
             assert np.array(got).tobytes() == np.array(full[: len(got)]).tobytes(), (name, n)
+
+
+# -- powers ---------------------------------------------------------------------
+
+
+def _unit_ladder(b, n):
+    """b ** n as the squaring ladder started from a unit constant jet."""
+    result, base, k = jets.constant(1.0, b.x0, len(b.coeffs)), b, n
+    while True:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
+def test_power_ladder_matches_a_unit_start():
+    # 0.0 + c starts the ladder as 1.0 * c summed into 0.0 does: a -0.0
+    # coefficient becomes +0.0 either way
+    x = np.array([0.7, -1.3, 0.0, 2.5])
+    bases = [
+        jets.Jet(0.7, (0.7, -0.0, 1.5, -0.0)),
+        jets.Jet(-0.0, (-0.0, 1.0, -0.0, 0.25)),
+        jets.Jet(x, (x, -0.0, np.array([1.5, -0.0, 0.0, -2.0]), -0.0)),
+    ]
+    for b in bases:
+        for k in range(1, 6):
+            got, want = (b**k).coeffs, _unit_ladder(b, k).coeffs
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes(), k
+        assert (b**0).coeffs == jets.constant(1.0, b.x0, 4).coeffs
+
+
+# -- recording ----------------------------------------------------------------------
+
+
+def _hex(coeffs):
+    return [float(c).hex() for c in coeffs]
+
+
+@pytest.mark.parametrize("name, fn, reference", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_traced_kernel_repeats_the_jets(name, fn, reference):
+    # a kernel recorded at one point returns, wherever it does not side
+    # exit, the coefficients the float jets give, bit for bit (math's exp,
+    # sinh and cosh on both sides)
+    xs = BATCH_X.tolist()
+    if name == "mul_per_point":  # np.sign would turn the traced value into a constant
+        with pytest.raises(TypeError):
+            jets.trace(lambda x: [fn(jets.variable(x))], xs[0])
+        return
+    kernels, returned = [], 0
+    for x0 in xs:
+        want = _hex(fn(jets.variable(x0)).coeffs)
+        for kernel in kernels:
+            got = kernel(x0)
+            if got is not None:
+                assert [_hex(c) for c in got] == [want], (name, x0)
+                returned += 1
+                break
+        else:
+            kernels.append(jets.trace(lambda x: [fn(jets.variable(x))], x0))
+    assert len(kernels) <= 2 and returned == len(xs) - len(kernels), name
+
+
+def test_guards_side_exit_where_a_comparison_flips():
+    # each comparison that read a traced value holds at the recorded point
+    # and sends every point where it does not to a side exit (None)
+    cases = [
+        (lambda x: jets.sqrt(x), 2.0, (-1.0, 0.0)),  # sqrt's domain checks
+        (lambda x: 1.0 / (x - 1.0), 2.0, (1.0,)),  # division by zero
+        (lambda x: jets.tan(x), 0.3, ()),  # cos(x) == 0 is never met exactly
+        (lambda x: jets.piecewise(x.value >= 0.0, jets.sin, jets.cos, x), 0.5, (-0.5, -1e-300)),
+        (lambda x: jets.sin(x) * x, 0.0, (0.5, -0.5)),  # the zero skip of a product
+        (lambda x: jets.sin(x) * x, 0.5, (0.0,)),
+    ]
+    for fn, at, exits in cases:
+        kernel = jets.trace(lambda x: [fn(jets.variable(x))], at)
+        assert "assert" not in kernel.source
+        assert kernel(at) == (fn(jets.variable(at)).coeffs,)
+        for x0 in exits:
+            assert kernel(x0) is None, (at, x0)
+    sqrt = jets.trace(lambda x: [jets.sqrt(jets.variable(x))], 2.0)
+    with pytest.raises(DomainEvaluationError) as exc:
+        jets.sqrt(jets.variable(-1.0))
+    assert sqrt(-1.0) is None and exc.value.x0 == -1.0
+
+
+def test_traced_values_refuse_unrecorded_decisions():
+    # a truth test or a float conversion would fix the recorded outcome
+    # without a guard, so both fail; two tapes never mix
+    tape_a, tape_b = [], []
+    jets.trace(lambda x: tape_a.append(x) or [jets.variable(x)], 1.0)
+    jets.trace(lambda x: tape_b.append(x) or [jets.variable(x)], 2.0)
+    a, b = tape_a[0], tape_b[0]
+    with pytest.raises(TypeError):
+        bool(a)
+    with pytest.raises(TypeError):
+        float(a)
+    with pytest.raises(ValueError):
+        a + b
+    assert (a * 2.0).value == 2.0 and (3 - b).value == 1.0
+
+
+def test_kernel_keeps_calls_nothing_reads():
+    # a call may raise where the jets raise, so it stays though unread;
+    # unread arithmetic goes
+    kernel = jets.trace(lambda x: (lambda v: [jets.exp(1000.0 * v), v * 3.0][1:])(jets.variable(x)), 0.1)
+    # x * 1000.0, its exp and x * 3.0, of the exp jet's ~50 statements
+    assert len(kernel.source.splitlines()) == 5 and "exp(" in kernel.source
+    assert kernel(0.2) == ((0.2 * 3.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0),)
+    with pytest.raises(OverflowError):
+        jets.exp(jets.variable(1.0) * 1000.0)
+    with pytest.raises(OverflowError):
+        kernel(1.0)
+
+
+def test_non_finite_constants_are_named():
+    kernel = jets.trace(lambda x: (lambda v: [v + math.inf, v * 0.0 + math.nan])(jets.variable(x, 2)), 1.0)
+    (first, second) = kernel(2.0)
+    assert first[0] == math.inf and math.isnan(second[0])

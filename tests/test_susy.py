@@ -18,9 +18,11 @@ from numpy.polynomial.chebyshev import Chebyshev
 from qesforge import expr, jets, susy, validator
 from qesforge.errors import (
     BranchInconsistencyError,
+    DomainEvaluationError,
     InadmissibleInputError,
     NegativeDiscriminantError,
     PatchFailureError,
+    QesError,
     QuadratureNonconvergenceError,
     UnremovablePoleError,
     VplusPoleError,
@@ -518,17 +520,38 @@ def eval_jet_calls(monkeypatch):
     return calls
 
 
-def test_one_u_jet_per_point(beta_b0, eval_jet_calls):
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """(x, returned) for every run of a kernel recorded during the test:
+    returned is False at a side exit or a raise."""
+    runs = []
+    trace = jets.trace
+
+    def recording(fn, x):
+        kernel = trace(fn, x)
+
+        def counted(x):
+            runs.append((x, False))
+            got = kernel(x)
+            runs[-1] = (x, got is not None)
+            return got
+
+        return counted
+
+    monkeypatch.setattr(jets, "trace", recording)
+    return runs
+
+
+def test_one_u_jet_per_point(beta_b0, eval_jet_calls, kernel_runs):
     # away from patch windows and pole images every evaluator reads one
-    # chain per point, built from a single jet of U: V and W one call per
-    # point, the states each point exactly once across their calls
+    # chain per point, built from a single jet of U: W one call per point,
+    # the states each point exactly once across their calls
     xs = clean_points(beta_b0, 40)
     beta_b0.wavefunctions_minus(xs[0])  # assemble the tables first
     evaluators = {
         "psi-": lambda: beta_b0.wavefunctions_minus(np.array(xs)),
         "psi+": lambda: beta_b0.wavefunctions_plus(np.array(xs)),
         "psi- per point": lambda: [beta_b0.wavefunctions_minus(x) for x in xs],
-        "V": lambda: [beta_b0.potentials(x) for x in xs],
         "W": lambda: [beta_b0.superpotentials(x) for x in xs],
     }
     for name, run in evaluators.items():
@@ -536,8 +559,23 @@ def test_one_u_jet_per_point(beta_b0, eval_jet_calls):
         run()
         seen = np.concatenate([np.atleast_1d(x0) for x0 in eval_jet_calls]).tolist()
         assert sorted(seen) == sorted(xs), name
-        if name in ("V", "W"):
+        if name == "W":
             assert len(eval_jet_calls) == len(xs), name
+    # V: each call returns from one recorded kernel or reads one U jet at
+    # its point; each call that read one records a kernel from one more U
+    # jet, traced at the same point, while its key has room
+    beta_b0._kernels.clear()
+    for x in xs:
+        eval_jet_calls.clear()
+        kernel_runs.clear()
+        beta_b0.potentials(x)
+        plain = [x0 for x0 in eval_jet_calls if not isinstance(x0, jets.Traced)]
+        traced = [x0.value for x0 in eval_jet_calls if isinstance(x0, jets.Traced)]
+        returned = [x0 for x0, ok in kernel_runs if ok]
+        assert returned + plain == [x]
+        assert traced in ([], plain)
+    recorded = sum(len(k) for k in beta_b0._kernels.values())
+    assert 0 < recorded < len(xs)
 
 
 # the jet length of U each caller asks for: the orders the members it reads
@@ -560,7 +598,8 @@ STATED_U_TERMS = {
 def test_callers_request_the_orders_they_read(monkeypatch):
     requested = {}
     original = expr.eval_jet
-    plumbing = {"jet", "_direct_members", "_members", "<listcomp>"}
+    # a recording traces potentials' own jet path: its U jet counts as potentials'
+    plumbing = {"jet", "_direct_members", "_members", "<listcomp>", "_scalar_potentials", "trace"}
 
     def recording(e, x0, params, n=jets.N_COEFF):
         frame = sys._getframe(1)
@@ -588,6 +627,7 @@ def test_callers_request_the_orders_they_read(monkeypatch):
     stated.update({"deriv k=1": 2, "deriv k=2": 3, "deriv k=3": 4})
     stated.update({"evaluate ['wp', 'g']": 3, "evaluate ['h']": 4})
     assert requested == {name: {n} for name, n in stated.items()}
+    assert list(system._kernels) == [(system.branch_map.sign_at(xs[0]), 4)]
 
 
 def test_chain_carries_only_valid_coefficients(razavy1, beta_b0, beta_bnz, touch):
@@ -904,9 +944,10 @@ def test_vplus_pole_flag_raises(touch):
     touch.potentials(patch.x)  # healthy again
 
 
-def test_off_window_potentials_stop_at_w0(beta_b0, monkeypatch):
+def test_off_window_potentials_stop_at_w0(beta_b0, monkeypatch, kernel_runs):
     # V reads W0 alone: outside the windows the chain stops before W~+,
-    # g and h, and W0 is the full chain's bit for bit
+    # g and h, on the jet path and in every recording, and W0 is the full
+    # chain's bit for bit
     xs = clean_points(beta_b0, 40)
     want = [beta_b0.chain(x).w0 for x in xs]
     built = []
@@ -917,15 +958,125 @@ def test_off_window_potentials_stop_at_w0(beta_b0, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(susy, "_chain", recording)
+    beta_b0._kernels.clear()
     v = [beta_b0.potentials(x) for x in xs]
     batch = beta_b0.potentials(np.array(xs))
     got = [beta_b0._members(x, ("w0",))[0] for x in xs]
-    assert len(built) == 2 * len(xs) + 1
+    traced = [c for c in built if isinstance(c.wp.x0, jets.Traced)]
+    returned = sum(ok for _, ok in kernel_runs)
+    assert 0 < len(traced) == sum(len(k) for k in beta_b0._kernels.values())
+    assert 0 < returned < len(xs)
+    # each V call not returned by a kernel, each _members call and the batch
+    assert len(built) - len(traced) == (len(xs) - returned) + len(xs) + 1
     assert all(c.w0 is not None and c.wt is None for c in built)
     for w0, jet, (vm, vp) in zip(want, got, v):
         assert jet.coeffs == w0.coeffs
         assert (vm, vp) == (0.5 * (w0.value**2 - w0.derivative(1)), 0.5 * (w0.value**2 + w0.derivative(1)))
     np.testing.assert_array_equal(np.array(batch), np.array(v).T)
+
+
+def _jet_path_potentials(system, x, sign=None):
+    """Off-window V through the jets alone: W0 and its slope from one U jet
+    of 4 coefficients."""
+    w0 = system._direct_members(susy._reduce(x, system.period), ("w0",), sign, 4)[0]
+    return susy._partner_potentials(w0.value, w0.derivative(1))
+
+
+def _outcome(fn, *args):
+    """The float bytes fn returns, or the class and message it raises."""
+    try:
+        return tuple(float(v).hex() for v in fn(*args))
+    except QesError as exc:
+        return type(exc), str(exc)
+
+
+def test_kernel_potentials_match_the_jet_path(razavy1, beta_b0, beta_bnz, touch, kernel_runs):
+    # off the windows a scalar V from the recorded kernels is the jet path's,
+    # bit for bit: seeded points over three periods, both sides of every
+    # window edge, 0 and pi/2 with their images, on the sign-map branch and
+    # on either override
+    rng = np.random.default_rng(1018)
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        L = system.period
+        system._kernels.clear()
+        xs = []
+        while len(xs) < 2000:
+            x = float(rng.uniform(-L, 2.0 * L))
+            if system._near_patch(x)[0] is None:
+                xs.append(x)
+        for p in system.patches:
+            for f in (1.0 - 1e-12, 1.0 + 1e-12):
+                xs += [p.x + f * p.eval_halfwidth, p.x - f * p.eval_halfwidth]
+        for x in (0.0, 0.5 * math.pi):
+            xs += [x - L, x, x + L]
+        xs = [x for x in xs if system._near_patch(x)[0] is None]
+        kernel_runs.clear()
+        for sign in (None, +1, -1):
+            for x in xs:
+                want = _outcome(_jet_path_potentials, system, x, sign)
+                assert _outcome(system.potentials, x, sign) == want, (x, sign)
+        assert sum(ok for _, ok in kernel_runs) > 0.99 * 3 * len(xs)
+        assert all(len(k) <= susy.KERNELS_PER_KEY for k in system._kernels.values())
+
+
+def test_kernel_side_exits_where_the_form_flips(kernel_runs):
+    # the stable form of W+ depends on sign * U'; a kernel recorded on one
+    # form side-exits on the other, whose point gets the jet path's value
+    # and records the second kernel of its key
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI)
+    x1, x2 = 1.0, 2.0
+    sign = system.branch_map.sign_at(x1)
+    assert system.branch_map.sign_at(x2) == sign
+    assert (sign * system.u.deriv(x1) >= 0.0) != (sign * system.u.deriv(x2) >= 0.0)
+    system.potentials(x1)
+    assert system.potentials(x1) == _jet_path_potentials(system, x1)
+    assert kernel_runs == [(x1, True)]
+    got = system.potentials(x2)
+    assert kernel_runs[1] == (x2, False)
+    assert _outcome(lambda: got) == _outcome(_jet_path_potentials, system, x2)
+    assert len(system._kernels[(sign, 4)]) == 2
+    kernel_runs.clear()
+    assert system.potentials(x2) == got and kernel_runs[-1] == (x2, True)
+
+
+def test_kernels_per_key_stay_within_the_bound(monkeypatch):
+    # with room for one kernel the other form's points take the jet path
+    monkeypatch.setattr(susy, "KERNELS_PER_KEY", 1)
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI)
+    for x in (1.0, 2.0, 1.1, 2.1, 1.2, 2.2):
+        assert system.potentials(x) == _jet_path_potentials(system, x)
+    assert [len(k) for k in system._kernels.values()] == [1]
+
+
+@pytest.mark.parametrize(
+    "u, good, bad, error",
+    [
+        ("2*sin(x)^2 + 0.01*sqrt(x - 2)", 2.5, 1.5, DomainEvaluationError),  # sqrt of a negative
+        ("2*sin(x)^2 + 0.01/(x - 2)", 2.5, 2.0, DomainEvaluationError),  # division by zero
+        ("2*sin(x)^2 + 0.05*cos(x)", 1.0, None, NegativeDiscriminantError),
+        ("2*sin(x)^2 + exp(300*x)", 0.5, 3.0, OverflowError),
+    ],
+)
+def test_kernel_leaves_errors_to_the_jet_path(u, good, bad, error, kernel_runs):
+    # a kernel side-exits (or fails) before a point the jets cannot
+    # evaluate; the jet path then raises there as it always did
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI, validate=False)
+    system.u = validator.CompiledU(u, 1.0, 0.5, TWO_PI)
+    if bad is None:  # the first probe point off the windows where S < 0
+        for bad in np.linspace(0.0, TWO_PI, 1001).tolist():
+            if system._near_patch(bad)[0] is None:
+                try:
+                    _jet_path_potentials(system, bad)
+                except error:
+                    break
+    assert system._near_patch(bad)[0] is None and system.branch_map.sign_at(bad) == system.branch_map.sign_at(good)
+    system.potentials(good)
+    with pytest.raises(error) as want:
+        _jet_path_potentials(system, bad)
+    with pytest.raises(error) as got:
+        system.potentials(bad)
+    assert str(got.value) == str(want.value)
+    assert kernel_runs == [(bad, False)] and sum(len(k) for k in system._kernels.values()) == 1
 
 
 def test_unremovable_pole_error_leaves_no_cycle():
