@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import types
+from collections import Counter
 
 import numpy as np
 
@@ -360,11 +361,16 @@ FUNCTIONS = {
 _ELEMENTARY = ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
 
 
+# Single-use temporaries nest at most this deep in one compiled expression,
+# far inside the parser's limit on nested parentheses
+INLINE_DEPTH = 24
+
+
 class _Tape:
     """The statements one traced run recorded, in order, each as (the name
-    it assigns or None for a guard, its source, the names it reads, and
-    whether it stays when nothing reads it: guards, and calls, which may
-    raise)."""
+    it assigns or None for a guard, its source with a {} per operand, its
+    operands as operand() gives them, and whether it stays when nothing
+    reads it: guards, and calls, which may raise)."""
 
     def __init__(self):
         self.lines = []
@@ -387,31 +393,55 @@ class _Tape:
         self.consts[name] = v
         return name, None
 
-    def assign(self, value, text: str, reads: tuple, call: bool = False) -> "Traced":
+    def assign(self, value, text: str, operands: tuple, call: bool = False) -> "Traced":
         name = f"t{len(self.lines)}"
-        self.lines.append((name, f"{name} = {text}", reads, call))
+        self.lines.append((name, text, operands, call))
         return Traced(self, name, value)
 
-    def guard(self, held, text: str, reads: tuple) -> bool:
+    def guard(self, held, text: str, operands: tuple) -> bool:
         held = bool(held)
-        self.lines.append((None, f"if {'not ' if held else ''}{text}: return None", reads, True))
+        self.lines.append((None, f"if {'not ' if held else ''}{text}: return None", operands, True))
         return held
 
     def compile(self, out):
         """The function of x that returns the coefficients of the jets in
-        out, keeping every guard and the statements they or out read."""
+        out, keeping every guard and the statements they or out read.
+
+        Guards and calls stay statements, in the recorded order; an
+        arithmetic temporary read once is written, parenthesized, into the
+        expression that reads it.  CPython rounds every binary operation
+        of a nested expression as it rounds it into a temporary, so the
+        kernel computes the same floats with a fraction of the statements
+        to compile."""
         results, live = [], set()
         for jet in out:
-            parts = [self.operand(c) for c in jet.coeffs]
-            results.append("(" + "".join(src + ", " for src, _ in parts) + ")")
-            live.update(name for _, name in parts)
+            results.append([self.operand(c) for c in jet.coeffs])
+            live.update(name for _, name in results[-1])
         kept = []
-        for target, line, reads, kept_anyway in reversed(self.lines):
+        for line in reversed(self.lines):
+            target, _, operands, kept_anyway = line
             if kept_anyway or target in live:
                 kept.append(line)
-                live.update(reads)
-        source = "def kernel(x):\n" + "".join(f"    {line}\n" for line in reversed(kept))
-        source += f"    return ({''.join(r + ', ' for r in results)})\n"
+                live.update(name for _, name in operands)
+        reads = Counter(name for line in kept for _, name in line[2])
+        reads.update(name for parts in results for _, name in parts)
+        inline = {}  # name -> (its parenthesized expression, nesting depth)
+        body = []
+        for target, text, operands, kept_anyway in reversed(kept):
+            srcs, depth = [], 0
+            for src, name in operands:
+                if name in inline:
+                    src, got = inline.pop(name)
+                    depth = max(depth, got)
+                srcs.append(src)
+            text = text.format(*srcs)
+            if not kept_anyway and reads[target] == 1 and depth < INLINE_DEPTH:
+                inline[target] = (f"({text})", depth + 1)
+            else:
+                body.append(f"{target} = {text}" if target else text)
+        returned = [[inline.pop(name)[0] if name in inline else src for src, name in parts] for parts in results]
+        source = "def kernel(x):\n" + "".join(f"    {line}\n" for line in body)
+        source += f"    return ({''.join('(' + ''.join(s + ', ' for s in srcs) + '), ' for srcs in returned)})\n"
         namespace = {name: getattr(math, name) for name in _ELEMENTARY}
         namespace.update(self.consts)
         exec(compile(source, "<jets.trace>", "exec"), namespace)
@@ -428,9 +458,8 @@ def _is_operand(v) -> bool:
 def _traced_arithmetic(symbol: str, op):
     def record(a, b):
         tape = a.tape if a.__class__ is Traced else b.tape
-        (sa, na), (sb, nb) = tape.operand(a), tape.operand(b)
         value = op(a.value if a.__class__ is Traced else a, b.value if b.__class__ is Traced else b)
-        return tape.assign(value, f"{sa} {symbol} {sb}", (na, nb))
+        return tape.assign(value, f"{{}} {symbol} {{}}", (tape.operand(a), tape.operand(b)))
 
     def forward(self, other):
         return record(self, other) if _is_operand(other) else NotImplemented
@@ -445,9 +474,8 @@ def _traced_comparison(symbol: str, op):
     def compare(self, other):
         if not _is_operand(other):
             return NotImplemented
-        (sa, na), (sb, nb) = self.tape.operand(self), self.tape.operand(other)
         held = op(self.value, other.value if other.__class__ is Traced else other)
-        return self.tape.guard(held, f"{sa} {symbol} {sb}", (na, nb))
+        return self.tape.guard(held, f"{{}} {symbol} {{}}", (self.tape.operand(self), self.tape.operand(other)))
 
     return compare
 
@@ -484,17 +512,17 @@ class Traced:
     __ge__ = _traced_comparison(">=", operator.ge)
 
     def __neg__(self):
-        return self.tape.assign(-self.value, f"-{self.name}", (self.name,))
+        return self.tape.assign(-self.value, "-{}", ((self.name, self.name),))
 
     def __abs__(self):
-        return self.tape.assign(abs(self.value), f"abs({self.name})", (self.name,))
+        return self.tape.assign(abs(self.value), "abs({})", ((self.name, self.name),))
 
 
 def _traced_elementary(name: str):
     f = getattr(math, name)
 
     def call(v: Traced) -> Traced:
-        return v.tape.assign(f(v.value), f"{name}({v.name})", (v.name,), call=True)
+        return v.tape.assign(f(v.value), f"{name}({{}})", ((v.name, v.name),), call=True)
 
     return call
 

@@ -43,15 +43,6 @@ def _pmul(a, b, n=N_TERMS):
     return out
 
 
-def _padd(a, b, n=N_TERMS):
-    a, b = _pad(a, n), _pad(b, n)
-    return [x + y for x, y in zip(a, b)]
-
-
-def _pscale(a, s, n=N_TERMS):
-    return [s * x for x in _pad(a, n)]
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """Finite series sum_j coeffs[j] * (x - x0)^(valuation + j)."""
@@ -177,69 +168,20 @@ def taylor(x0: float, coeffs) -> LaurentPoly:
     return LaurentPoly(x0, 0, tuple(float(c) for c in coeffs))
 
 
-def discriminant_poly(u, eps0: float, eps1: float) -> list:
-    """Taylor coefficients of S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1).
-
-    The top coefficient is only complete when U'(x0) = 0 (else it would need
-    one more derivative of U than the input carries); that is exactly the
-    double-zero case where the high orders matter.
-    """
-    n = max(len(u), N_TERMS)
-    u = _pad(u, n)
-    du = _pad([(k + 1) * u[k + 1] for k in range(n - 1)], n)
-    up = list(u)
-    up[0] += 2.0 * eps0
-    um = list(u)
-    um[0] -= 2.0 * eps1
-    return _padd(_pmul(du, du, n), _pscale(_pmul(u, _pmul(up, um, n), n), 4.0, n), n)
-
-
-def _residual_taylor(u, eps0, eps1, w):
-    """(U - 2e1) W^2 + U' W - U (U + 2e0) for Taylor W."""
-    n = max(len(u), N_TERMS)
-    u = _pad(u, n)
-    du = _pad([(k + 1) * u[k + 1] for k in range(n - 1)], n)
-    um = list(u)
-    um[0] -= 2.0 * eps1
-    up = list(u)
-    up[0] += 2.0 * eps0
-    w = _pad(w, n)
-    r = _padd(_pmul(um, _pmul(w, w, n), n), _pmul(du, w, n), n)
-    return [a - b for a, b in zip(r, _pmul(u, up, n))]
-
-
-def _residual_pole(u, eps0, eps1, p):
-    """Residual of the same relation for W = P/t, multiplied through by t^2.
-
-    (U - 2e1) P^2 + (t U') P - t^2 U (U + 2e0); every coefficient of t U'
-    is complete because it needs no derivative of U beyond the input order.
-    """
-    n = max(len(u), N_TERMS)
-    u = _pad(u, n)
-    tdu = [k * u[k] for k in range(n)]
-    um = list(u)
-    um[0] -= 2.0 * eps1
-    up = list(u)
-    up[0] += 2.0 * eps0
-    p = _pad(p, n)
-    r = _padd(_pmul(um, _pmul(p, p, n), n), _pmul(tdu, p, n), n)
-    shifted = [0.0, 0.0] + _pmul(u, up, n)[: n - 2]
-    return [a - b for a, b in zip(r, shifted)]
-
-
 PROBES = (0.0, 1.0, -1.0)
 
 
 def _order_residual(u, eps0, eps1, pole: bool):
     """One order of the residual at the solver's three probes, as fn(wc, k).
 
-    fn(wc, k)[n] equals _residual_taylor(u, eps0, eps1, wc + [PROBES[n]])[k]
-    (_residual_pole when pole) bit for bit.  It forms only the product
-    coefficients order k needs, each summed in _pmul's order; the part of
-    w*w that the probed coefficient does not enter is formed once for all
-    three probes, and the w-free U (U + 2 eps0) product once for every
-    call.  Terms _pmul adds from zero padding are +-0 and leave its sums
-    unchanged, so they are skipped.
+    fn(wc, k)[n] equals order k of the full residual of wc + [PROBES[n]]
+    bit for bit: residual_taylor (residual_pole when pole) of the tests'
+    series_oracle, which forms every order with _pmul.  It forms only the
+    product coefficients order k needs, each summed in _pmul's order; the
+    part of w*w that the probed coefficient does not enter is formed once
+    for all three probes, and the w-free U (U + 2 eps0) product once for
+    every call.  Terms _pmul adds from zero padding are +-0 and leave its
+    sums unchanged, so they are skipped.
     """
     n = max(len(u), N_TERMS)
     u = _pad(u, n)
@@ -289,7 +231,7 @@ def _order_residual(u, eps0, eps1, pole: bool):
     return fn
 
 
-def _solve_tree(res_fn, n_coeffs, max_order, tol):
+def _solve_tree(res_fn, n_coeffs, max_order, tol, wc=(), floor=0):
     """All formal series branches, coefficient by coefficient.
 
     res_fn(wc, k) is order k of the residual of wc extended by each of
@@ -302,6 +244,14 @@ def _solve_tree(res_fn, n_coeffs, max_order, tol):
     two distinct real roots forks it.  Branches whose next coefficient is not
     constrained by any trustworthy order are returned truncated.
 
+    The tree grows from the prefix wc, whose next coefficient is sought
+    from residual order floor on.  It returns (coefficients, resume) pairs:
+    resume is max_order + 1 for a branch truncated because the orders ran
+    out, so a solve with a higher max_order continues it from there (the
+    orders it read are all vacuous, and a deeper solve reads them alike);
+    it is None for a complete branch and for one truncated at the
+    precision floor below, which a deeper solve also truncates there.
+
     High residual orders of a branch with growing coefficients carry values
     far above the nominal tolerance; roundoff in them would read as a fake
     quadratic term and kill the branch, so every negligibility decision is
@@ -311,7 +261,7 @@ def _solve_tree(res_fn, n_coeffs, max_order, tol):
 
     def extend(wc, floor):
         if len(wc) == n_coeffs:
-            out.append(tuple(wc))
+            out.append((tuple(wc), None))
             return
         for order in range(floor, max_order + 1):
             g, rp, rm = res_fn(wc, order)
@@ -333,7 +283,7 @@ def _solve_tree(res_fn, n_coeffs, max_order, tol):
                 if 1e-12 * gmax > tol:
                     # residuals have outrun double precision: the prefix is
                     # all the information there is, so truncate, don't kill
-                    break
+                    out.append((tuple(wc), None))
                 return
             if abs(a) <= eff:
                 extend(wc + [-g / b], order + 1)
@@ -351,21 +301,21 @@ def _solve_tree(res_fn, n_coeffs, max_order, tol):
             extend(wc + [(-b + rd) / (2.0 * a)], order + 1)
             extend(wc + [(-b - rd) / (2.0 * a)], order + 1)
             return
-        out.append(tuple(wc))
+        out.append((tuple(wc), max_order + 1))
 
-    extend([], 0)
-    return _dedup(out)
+    extend(list(wc), floor)
+    return _dedup(out, key=lambda pair: pair[0])
 
 
-def _dedup(cands):
+def _dedup(cands, key=lambda c: c):
+    """cands in order, less each one whose key lies within 1e-7 of an earlier kept one's."""
     kept = []
     for c in cands:
-        for k in kept:
-            if len(k) == len(c) and all(
-                abs(a - b) <= 1e-7 * (1.0 + abs(a) + abs(b)) for a, b in zip(k, c)
-            ):
-                break
-        else:
+        a = key(c)
+        if not any(
+            len(b) == len(a) and all(abs(p - q) <= 1e-7 * (1.0 + abs(p) + abs(q)) for p, q in zip(b, a))
+            for b in map(key, kept)
+        ):
             kept.append(c)
     return kept
 
@@ -381,16 +331,17 @@ def taylor_branches(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 4, r
     Residual orders involving a derivative of U beyond the input are not
     used: the top order is trusted only when the leading series coefficient
     vanishes, which covers the degenerate double-zero case that needs it.
+    So the solve stops one order short, and a truncated branch whose
+    leading coefficient vanishes resumes from where it stopped, into the
+    top order; no residual order of a prefix is evaluated twice.
     """
     m = max(len(u), N_TERMS)
     tol = rtol * _residual_scale(u, eps0, eps1)
     fn = _order_residual(u, eps0, eps1, pole=False)
-    cands = _solve_tree(fn, n_coeffs, m - 2, tol)
     refined = []
-    for c in cands:
-        if len(c) < n_coeffs and abs(c[0]) <= tol:
-            deeper = _solve_tree(fn, n_coeffs, m - 1, tol)
-            refined.extend(d for d in deeper if d[: len(c)] == c)
+    for c, resume in _solve_tree(fn, n_coeffs, m - 2, tol):
+        if resume is not None and abs(c[0]) <= tol:
+            refined.extend(d for d, _ in _solve_tree(fn, n_coeffs, m - 1, tol, c, resume))
         else:
             refined.append(c)
     return [LaurentPoly(x0, 0, c) for c in _dedup(refined)]
@@ -401,23 +352,8 @@ def pole_branches(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 5, rto
     m = max(len(u), N_TERMS)
     tol = rtol * _residual_scale(u, eps0, eps1)
     fn = _order_residual(u, eps0, eps1, pole=True)
-    cands = _solve_tree(fn, n_coeffs, m - 1, tol)
     out = []
-    for c in cands:
+    for c, _ in _solve_tree(fn, n_coeffs, m - 1, tol):
         if c and abs(c[0] + 1.0) <= 1e-7:
             out.append(LaurentPoly(x0, -1, c))
     return out
-
-
-def residual_norm(x0: float, w: LaurentPoly, u, eps0: float, eps1: float) -> float:
-    """Max residual coefficient of a candidate series, for diagnostics."""
-    m = max(len(u), N_TERMS)
-    if w.valuation == 0:
-        r = _residual_taylor(u, eps0, eps1, list(w.coeffs))
-        top = m - 1 if abs(w.coeffs[0]) < 1e-12 else m - 2
-    elif w.valuation == -1:
-        r = _residual_pole(u, eps0, eps1, list(w.coeffs))
-        top = m - 1
-    else:
-        raise ValueError("unsupported valuation")
-    return max(abs(c) for c in r[: top + 1])

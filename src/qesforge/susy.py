@@ -273,9 +273,11 @@ class ConstructedSystem:
         if self.report is not None:
             sv = self.report.s_samples
             zero_records = self.report.zeros
+            lower = self.report.lower_crossings
         else:
             _, sv = validator.discriminant_samples(self.u)
             zero_records = validator.locate_zeros(self.u, self.pair.eps0, self.pair.eps1, L)
+            lower = validator.find_level_crossings(self.u, -2.0 * self.pair.eps0)
         self._s_samples = sv
         self._s_scale = max(float(np.max(np.abs(sv))), 1.0)
         pts = []
@@ -291,7 +293,7 @@ class ConstructedSystem:
                 )
         for p in validator.find_level_crossings(self.u, 2.0 * self.pair.eps1):
             pts.append((p, KIND_UPPER_EDGE))
-        for p in validator.find_level_crossings(self.u, -2.0 * self.pair.eps0):
+        for p in lower:
             pts.append((p, KIND_LOWER_EDGE))
         known = sorted(p for p, _ in pts)
         for p in self._accidental_discriminant_zeros():
@@ -325,27 +327,19 @@ class ConstructedSystem:
         # one candidate per contiguous tiny run (circular): a flat valley of
         # a high-order zero is full of roundoff wiggles, and each spurious
         # local minimum would otherwise become a structural point
-        idx = np.nonzero(tiny)[0]
+        idx = np.flatnonzero(tiny)
         if idx.size and idx.size < n:
-            runs = []
-            start = prev = int(idx[0])
-            for i in idx[1:]:
-                i = int(i)
-                if i == prev + 1:
-                    prev = i
-                    continue
-                runs.append((start, prev))
-                start = prev = i
-            runs.append((start, prev))
+            cut = np.flatnonzero(np.diff(idx) != 1) + 1
+            runs = list(zip(idx[np.r_[0, cut]].tolist(), idx[np.r_[cut - 1, -1]].tolist()))
             if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
                 head = runs[0]
                 runs = runs[1:-1] + [(runs[-1][0], head[1] + n)]
             for (a, b) in runs:
-                imin = min(range(a, b + 1), key=lambda i: av[i % n]) % n
+                # the first smallest sample of the run, in run order
+                imin = (a + int(np.argmin(np.take(av, range(a, b + 1), mode="wrap")))) % n
                 out.append(imin * L / n)
-        for i in range(n):
-            if sv[i] * sv[(i + 1) % n] < 0 and not (tiny[i] or tiny[(i + 1) % n]):
-                out.append((i + 0.5) * L / n)
+        flip = (sv * np.roll(sv, -1) < 0) & ~tiny & ~np.roll(tiny, -1)
+        out.extend((i + 0.5) * L / n for i in np.flatnonzero(flip).tolist())
         return sorted(out)
 
     def _is_breakpoint(self, x: float) -> bool:
@@ -465,22 +459,23 @@ class ConstructedSystem:
                 raise PatchFailureError(patch.x, "no local branch solves the quadratic")
             u_loc = local_series.LaurentPoly(patch.x, 0, uc)
             slope_tol = 1e-6 * max(1.0, 2.0 * e0)
+            chains = {}  # candidate index -> its Laurent chain, shared by the (side, sign) pairs picking it
             for side in (+1, -1):
                 xs = patch.x + side * h
                 u_seam = self.u.jet(_reduce(xs, self.period), _U_TERMS["wp"])
                 for sign in (+1, -1):
                     target = self._w_direct(u_seam, sign).value
                     ref = max(1.0, abs(target))
-                    best, best_err = None, math.inf
-                    for cand in candidates:
+                    pick, best_err = None, math.inf
+                    for i, cand in enumerate(candidates):
                         err = abs(cand(xs) - target)
                         if err < best_err:
-                            best, best_err = cand, err
+                            pick, best_err = i, err
                     if best_err > SEAM_TOL * ref:
                         raise SeamMismatchError(xs, best_err / ref, SEAM_TOL)
                     # a branch vanishing with a slope other than +-2*eps0 leaves
                     # a chain pole that cannot cancel; the reason is stored
-                    wpt = best.structurally_trimmed(1e-9)
+                    wpt = candidates[pick].structurally_trimmed(1e-9)
                     slope = wpt.coeff(1)
                     if (
                         wpt.valuation >= 1
@@ -491,11 +486,13 @@ class ConstructedSystem:
                             f"W+ vanishes with slope {slope:.6g} outside {{+2*eps0, -2*eps0}}; "
                             "the chain pole cannot cancel"
                         )
-                    else:
-                        patch.branches[(side, sign)] = _chain(
-                            best, u_loc, self.pair, local_series.LaurentPoly.derivative,
+                        continue
+                    if pick not in chains:
+                        chains[pick] = _chain(
+                            candidates[pick], u_loc, self.pair, local_series.LaurentPoly.derivative,
                             lambda lp: lp.structurally_trimmed(1e-12),
                         )
+                    patch.branches[(side, sign)] = chains[pick]
             if patch.kind not in (KIND_DOUBLE_ZERO, KIND_BRANCH_TOUCH):
                 for sign in (+1, -1):
                     pa = patch.branches[(+1, sign)]
@@ -929,9 +926,10 @@ class _StateAssembly:
                         raise QuadratureNonconvergenceError(a, b, tail / max(scale, 1e-300), CHEB_TAIL_REL)
                     n *= 2
                 cheb = cheb.integ()
+                at_a = float(cheb(a))
                 self.seg_tables[i].append(cheb)
-                self.seg_base[i].append(acc[i] - float(cheb(a)))
-                acc[i] += float(cheb(b)) - float(cheb(a))
+                self.seg_base[i].append(acc[i] - at_a)
+                acc[i] += float(cheb(b)) - at_a
             # the three tables zero-padded to one length (leading zeros change
             # no bit of a Clenshaw sum), also as Python floats for small batches
             n = max(len(t[-1].coef) for t in self.seg_tables)
@@ -961,8 +959,10 @@ class _StateAssembly:
 
     def _regular_samples(self, xs: np.ndarray) -> np.ndarray:
         """W0, W1, W2 at xs in [0, L] with every registered pole term removed,
-        a row each: one chain batch outside the patch windows, the local series
-        less its own pole inside; then the other images' poles, in order."""
+        a row each: one chain batch outside the patch windows; inside, the
+        points grouped by (patch, side), each member's local series less its
+        own pole trimmed once per group and evaluated at x0 + t as a
+        one-point call would; then the other images' poles, in order."""
         sysm = self.sys
         out = np.empty((len(CHAIN_NAMES), xs.size))
         window, offset = sysm._near_patches(xs)
@@ -975,16 +975,20 @@ class _StateAssembly:
                 for (q, rho) in self.images[i]:
                     v = v - rho / (xd - q)
                 out[i, direct] = v
-        for k in np.flatnonzero(~direct):
-            x, t = xs[k], offset[k]
-            loc = sysm._active_local(sysm.patches[window[k]], +1 if t >= 0.0 else -1)
+        right = offset >= 0.0
+        # groups in the order of their first points: a side whose pole cannot
+        # cancel raises at the point a pass point by point would raise at
+        for p, on_right in dict.fromkeys(zip(window[~direct].tolist(), right[~direct].tolist())):
+            idx = np.flatnonzero((window == p) & (right == on_right))
+            x, t = xs[idx], offset[idx]
+            loc = sysm._active_local(sysm.patches[p], +1 if on_right else -1)
             for i, name in enumerate(CHAIN_NAMES):
                 lp = getattr(loc, name).structurally_trimmed(1e-12).regular_part()
-                v = float(lp(lp.x0 + t))
+                v = lp(lp.x0 + t)
                 for (q, rho) in self.images[i]:
-                    if abs(q - (x - t)) >= 1e-9:  # its own pole is in the series split
-                        v -= rho / (x - q)
-                out[i, k] = v
+                    other = np.abs(q - (x - t)) >= 1e-9  # its own pole is in the series split
+                    v[other] -= rho / (x[other] - q)
+                out[i, idx] = v
         return out
 
     def log_weight(self, i: int, x: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Decides whether a periodic U(x) can drive the three-level construction:
 zero structure (simple zeros anywhere, one double zero at the half-period),
-evenness about the half-period, the curvature constraint at double zeros,
-and global nonnegativity of the branch discriminant.
+evenness about the half-period, the curvature constraints at double zeros
+and at tangential touches of the lower level -2*eps0, and global
+nonnegativity of the branch discriminant.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class AdmissibilityReport:
     s_min: float
     range_ok: bool
     checks: tuple = field(default=())
-    # S on the uniform GRID of discriminant_samples, reused by the construction
+    # S on the uniform GRID of discriminant_samples and the points where U
+    # meets the lower level -2 eps0, reused by the construction
     s_samples: np.ndarray = field(default=None, repr=False, compare=False)
+    lower_crossings: tuple = field(default=None, repr=False, compare=False)
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -163,24 +166,17 @@ def _scan_roots(cu: CompiledU, level: float) -> list:
 
     roots = []
     dx = L / GRID
-    # transversal: sign change between consecutive samples (circular)
-    for i in range(GRID):
-        a, b = vals[i], vals[(i + 1) % GRID]
-        if a == 0.0:
-            roots.append(xs[i])
-            continue
-        if a * b < 0.0:
-            roots.append(_refine_transversal(f, xs[i], xs[i] + dx))
+    # transversal: an exact zero sample, or a sign change to the next
+    # sample (circular); only the brentq refinements run per root
+    for i in np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0)):
+        roots.append(xs[i] if vals[i] == 0.0 else _refine_transversal(f, xs[i], xs[i] + dx))
     # tangential: local minima of |U - level| that graze zero
     absv = np.abs(vals)
-    tiny = absv < 1e-9 * scale
-    for i in np.nonzero(tiny)[0]:
-        left = absv[(i - 1) % GRID]
-        right = absv[(i + 1) % GRID]
-        if absv[i] <= left and absv[i] <= right:
-            got = _refine_tangential(fp, float(xs[i]), dx)
-            if got is not None and abs(f(got)) < 1e-7 * scale:
-                roots.append(got)
+    graze = (absv < 1e-9 * scale) & (absv <= np.roll(absv, 1)) & (absv <= np.roll(absv, -1))
+    for i in np.flatnonzero(graze):
+        got = _refine_tangential(fp, float(xs[i]), dx)
+        if got is not None and abs(f(got)) < 1e-7 * scale:
+            roots.append(got)
 
     reduced = sorted(r % L for r in roots)
     out = []
@@ -280,6 +276,24 @@ def check_admissibility(u, eps0: float, eps1: float, period: float) -> Admissibi
             curv_ok = False
     add("curvature_at_double_zeros", curv_ok and bool(doubles), f"max |U'' - 8*eps0*eps1| = {worst:.3e}")
 
+    # where U touches the lower level -2 eps0 (U' = 0), W+ has a vanishing
+    # branch whose slope s solves -2 (eps0 + eps1) s^2 + 2 c2 s + 2 eps0 c2 = 0
+    # (c2 = U''/2); the chain pole cancels only for s = +-2 eps0, which needs
+    # c2 = 4 eps0 (eps0 + eps1) / 3 or c2 = -4 eps0 (eps0 + eps1)
+    lower = find_level_crossings(cu, -2.0 * cu.eps0)
+    top = cu.eps0 + cu.eps1
+    touch_targets = (4.0 * cu.eps0 * top / 3.0, -4.0 * cu.eps0 * top)
+    touch_ok, touch_worst = True, 0.0
+    for x in lower:
+        _, d1, c2 = cu.jet(x, 3).coeffs
+        if abs(d1) > 1e-6 * ref:  # a transversal crossing
+            continue
+        dev, target_c2 = min((abs(c2 - t), t) for t in touch_targets)
+        touch_worst = max(touch_worst, dev)
+        if dev > 1e-6 * max(abs(target_c2), 1.0):
+            touch_ok = False
+    add("lower_touch_curvature", touch_ok, f"max |U''/2 - c2 for slope +-2*eps0| = {touch_worst:.3e}")
+
     d3_mid = cu.deriv(xm, 3)
     d3_ok = all(abs(cu.deriv(z.x, 3)) <= 1e-6 * ref for z in doubles)
     add("third_derivative_vanishes", d3_ok, f"U'''(midpoint) = {d3_mid:.3e}")
@@ -304,6 +318,7 @@ def check_admissibility(u, eps0: float, eps1: float, period: float) -> Admissibi
         range_ok=range_ok,
         checks=tuple(checks),
         s_samples=sv,
+        lower_crossings=lower,
     )
 
 

@@ -388,8 +388,9 @@ def test_kernel_keeps_calls_nothing_reads():
     # a call may raise where the jets raise, so it stays though unread;
     # unread arithmetic goes
     kernel = jets.trace(lambda x: (lambda v: [jets.exp(1000.0 * v), v * 3.0][1:])(jets.variable(x)), 0.1)
-    # x * 1000.0, its exp and x * 3.0, of the exp jet's ~50 statements
-    assert len(kernel.source.splitlines()) == 5 and "exp(" in kernel.source
+    # exp(x * 1000.0) and a return of x * 3.0, of the exp jet's ~50 statements:
+    # the products are each read once, so they move into their readers
+    assert len(kernel.source.splitlines()) == 3 and "exp((x * 1000.0))" in kernel.source
     assert kernel(0.2) == ((0.2 * 3.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0),)
     with pytest.raises(OverflowError):
         jets.exp(jets.variable(1.0) * 1000.0)
@@ -401,3 +402,18 @@ def test_non_finite_constants_are_named():
     kernel = jets.trace(lambda x: (lambda v: [v + math.inf, v * 0.0 + math.nan])(jets.variable(x, 2)), 1.0)
     (first, second) = kernel(2.0)
     assert first[0] == math.inf and math.isnan(second[0])
+
+
+def test_long_single_use_chains_compile():
+    # a chain of temporaries each read once nests only INLINE_DEPTH deep,
+    # however long, and still computes the recorded floats
+    def chain(x):
+        v = jets.variable(x, 2)
+        for k in range(400):
+            v = v * 1.0001 + (0.5 if k % 2 else -0.25)
+        return [v]
+
+    kernel = jets.trace(chain, 0.3)
+    assert max(line.count("(") for line in kernel.source.splitlines()) <= 2 * jets.INLINE_DEPTH + 4
+    for x0 in (0.3, -1.7, 12.5):
+        assert [_hex(c) for c in kernel(x0)] == [_hex(chain(x0)[0].coeffs)]

@@ -5,14 +5,9 @@ import numpy as np
 import pytest
 
 from qesforge import local_series
-from qesforge.local_series import (
-    LaurentPoly,
-    discriminant_poly,
-    pole_branches,
-    residual_norm,
-    taylor,
-    taylor_branches,
-)
+from qesforge.local_series import LaurentPoly, pole_branches, taylor, taylor_branches
+import series_oracle
+from series_oracle import discriminant_poly, residual_norm, residual_pole, residual_taylor
 
 # U = 2 sin(x)^2 with (eps0, eps1) = (1, 0.5); closed-form Taylor data below.
 EPS0 = 1.0
@@ -309,7 +304,7 @@ def test_longer_input_extends_trustworthy_orders():
 def test_order_residual_matches_full_residual(pole):
     # the solver's one-order residual at each probe is the full residual's
     # entry, bit for bit
-    full = local_series._residual_pole if pole else local_series._residual_taylor
+    full = residual_pole if pole else residual_taylor
     rng = random.Random(11)
     for _ in range(200):
         n = rng.choice((7, 12, 18))
@@ -321,3 +316,85 @@ def test_order_residual_matches_full_residual(pole):
             got = fn(wc, k)
             for probe, value in zip(local_series.PROBES, got):
                 assert value.hex() == full(u, eps0, eps1, wc + [probe])[k].hex()
+
+
+# ------------------------------------------------- the solve on real patches
+
+DETUNED = "4*eps0*eps1*sin(x)^2*((1-{a})+{a}*cos(2*x))"
+# every family member that builds (the 12 of the benchmark scan grid, Razavy
+# (3.0, 2.5), detuned (2.8, 0.5) and the touch (8.0, 2.5)), and Razavy
+# (3.2, 2.5), which fails after solving both its double zeros
+PATCH_MEMBERS = [
+    (0.0, 1.0, 0.5), (0.0, 3.2, 0.5), (0.0, 5.0, 0.5), (0.0, 5.0, 2.5),
+    (0.2, 3.2, 0.5), (0.2, 5.0, 0.5), (0.2, 5.0, 2.5), (0.4, 3.2, 0.5),
+    (0.4, 5.0, 0.5), (0.4, 5.0, 2.5), (0.6, 3.2, 0.5), (0.6, 5.0, 0.5),
+    (0.0, 3.0, 2.5), (0.6, 2.8, 0.5), (0.6, 8.0, 2.5), (0.0, 3.2, 2.5),
+]
+
+
+@pytest.fixture(scope="module")
+def patch_solves():
+    """One dict per taylor_branches call the construction of PATCH_MEMBERS
+    makes: the member, the call's args and kwargs, the branches it returned
+    and the (prefix, order) of each residual order its solves read."""
+    from qesforge import susy
+
+    calls = []
+    solve, order_residual = local_series.taylor_branches, local_series._order_residual
+
+    def counted(u, eps0, eps1, pole):
+        fn = order_residual(u, eps0, eps1, pole)
+        if pole:  # pole_branches' own solve
+            return fn
+
+        def reading(wc, k):
+            calls[-1]["reads"].append((tuple(wc), k))
+            return fn(wc, k)
+
+        return reading
+
+    def recorded(*args, **kwargs):
+        calls.append({"member": member, "args": args, "kwargs": kwargs, "reads": []})
+        calls[-1]["got"] = solve(*args, **kwargs)
+        return calls[-1]["got"]
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(local_series, "taylor_branches", recorded)
+    mp.setattr(local_series, "_order_residual", counted)
+    try:
+        for member in PATCH_MEMBERS:
+            a, e0, e1 = member
+            try:
+                susy.construct(DETUNED.format(a=a), e0, e1, 2.0 * math.pi)
+            except susy.SeamMismatchError:
+                assert member == (0.0, 3.2, 2.5)
+    finally:
+        mp.undo()
+    return calls
+
+
+def _series_bits(branches):
+    return [(b.x0.hex(), b.valuation, [c.hex() for c in b.coeffs]) for b in branches]
+
+
+def test_resumed_solve_matches_two_solves(patch_solves):
+    # the deeper solve continues each truncated candidate where the first
+    # one stopped; re-running the whole tree must give the same bits
+    assert {c["member"] for c in patch_solves} == set(PATCH_MEMBERS)
+    for c in patch_solves:
+        want = series_oracle.taylor_branches_two_solves(*c["args"], **c["kwargs"])
+        assert _series_bits(c["got"]) == _series_bits(want), (c["member"], c["args"][0])
+    # Razavy (3.2, 2.5)'s double zeros keep their roundoff fork at
+    # coefficient 15: four branches at 0, two at pi
+    razavy = {round(c["args"][0], 6): c["got"] for c in patch_solves if c["member"] == (0.0, 3.2, 2.5)}
+    assert len(razavy[0.0]) == 4 and len(razavy[round(math.pi, 6)]) == 2
+
+
+def test_solve_reads_each_residual_order_once(patch_solves):
+    resumed = 0
+    for c in patch_solves:
+        reads = c["reads"]
+        assert len(reads) == len(set(reads)), (c["member"], c["args"][0])
+        # the deeper solve reads the top order, one below the input's length
+        resumed += max(k for _, k in reads) == len(c["args"][1]) - 1
+    assert resumed > 0

@@ -9,6 +9,7 @@ import gc
 import math
 import sys
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1019,6 +1020,27 @@ def test_kernel_potentials_match_the_jet_path(razavy1, beta_b0, beta_bnz, touch,
         assert all(len(k) <= susy.KERNELS_PER_KEY for k in system._kernels.values())
 
 
+def test_kernels_inline_single_use_temporaries(touch, monkeypatch):
+    # a W0 kernel writes each arithmetic temporary read once into the
+    # expression reading it: over 3x fewer statements than one per recorded
+    # operation (compile time, and each run's loads and stores), same floats
+    fn = partial(touch._direct_members, names=("w0",), sign=+1, n=4)
+    inlined = jets.trace(fn, 1.0)
+    monkeypatch.setattr(jets, "INLINE_DEPTH", 0)  # nothing nests: a statement per operation
+    flat = jets.trace(fn, 1.0)
+
+    def statements(kernel):
+        return len(kernel.source.splitlines()) - 2
+
+    assert statements(inlined) <= 70 and 3 * statements(inlined) < statements(flat)
+    assert inlined.source.count("if ") == flat.source.count("if ")  # every guard stays
+    for x in np.linspace(0.2, 2.9, 55).tolist():
+        got, want = inlined(x), flat(x)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [[c.hex() for c in row] for row in got] == [[c.hex() for c in row] for row in want]
+
+
 def test_kernel_side_exits_where_the_form_flips(kernel_runs):
     # the stable form of W+ depends on sign * U'; a kernel recorded on one
     # form side-exits on the other, whose point gets the jet path's value
@@ -1162,6 +1184,122 @@ def test_grid_states_skip_scalar_paths(beta_b0, eval_jet_calls, monkeypatch):
     assert len(eval_jet_calls) == 2
 
 
+# -- construction without repeated work ------------------------------------
+
+
+def _accidental_zeros_per_sample(sv, period, s_scale):
+    """ConstructedSystem._accidental_discriminant_zeros one Python step per
+    sample: the oracle for its array form."""
+    n = len(sv)
+    out = []
+    av = np.abs(sv)
+    tiny = av < 1e-9 * s_scale
+    idx = np.nonzero(tiny)[0]
+    if idx.size and idx.size < n:
+        runs = []
+        start = prev = int(idx[0])
+        for i in idx[1:]:
+            i = int(i)
+            if i == prev + 1:
+                prev = i
+                continue
+            runs.append((start, prev))
+            start = prev = i
+        runs.append((start, prev))
+        if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
+            head = runs[0]
+            runs = runs[1:-1] + [(runs[-1][0], head[1] + n)]
+        for (a, b) in runs:
+            imin = min(range(a, b + 1), key=lambda i: av[i % n]) % n
+            out.append(imin * period / n)
+    for i in range(n):
+        if sv[i] * sv[(i + 1) % n] < 0 and not (tiny[i] or tiny[(i + 1) % n]):
+            out.append((i + 0.5) * period / n)
+    return sorted(out)
+
+
+def test_accidental_zeros_match_per_sample_scan(razavy1, beta_b0, touch):
+    rng = np.random.default_rng(5)
+    cases = [s._s_samples for s in (razavy1, beta_b0, touch)]
+    for k in range(40):
+        # sign changes, runs of roundoff-sized samples, exact zeros, and a
+        # flat run (tied smallest samples) that wraps around the end or not
+        sv = rng.normal(size=256) * rng.choice((1.0, 1e-12), size=256, p=(0.8, 0.2))
+        sv[rng.integers(0, 256, 3)] = 0.0
+        sv[np.arange(-3, 3) + 128 * (k % 2)] = 1e-13
+        cases.append(sv)
+    cases.append(np.full(64, 1e-13))  # tiny everywhere: no run
+    for sv in cases:
+        scale = max(float(np.max(np.abs(sv))), 1.0)
+        system = type("S", (), {"_s_samples": sv, "period": TWO_PI, "_s_scale": scale})()
+        got = susy.ConstructedSystem._accidental_discriminant_zeros(system)
+        assert [type(x).__name__ + x.hex() for x in got] == [
+            type(x).__name__ + x.hex() for x in _accidental_zeros_per_sample(sv, TWO_PI, scale)
+        ]
+
+
+def test_match_patches_builds_one_chain_per_chosen_candidate(monkeypatch):
+    calls = []
+    chain = susy._chain
+
+    def counted(wp, *args, **kwargs):
+        if isinstance(wp, LaurentPoly):
+            calls.append(wp)
+        return chain(wp, *args, **kwargs)
+
+    monkeypatch.setattr(susy, "_chain", counted)
+    for u, e0, e1 in ((RAZAVY, 1.0, 0.5), (DETUNED, 2.8, 0.5), (DETUNED, 8.0, 2.5)):
+        calls.clear()
+        system = construct(u, e0, e1, TWO_PI)
+        chosen = 0
+        for patch in system.patches:
+            picked = {}  # W+ series -> the chain its (side, sign) pairs share
+            for got in patch.branches.values():
+                if not isinstance(got, str):
+                    assert picked.setdefault((got.wp.valuation, got.wp.coeffs), got) is got
+            chosen += len(picked)
+        assert len(calls) == chosen < 4 * len(system.patches)
+
+
+def _regular_samples_per_point(assembly, xs):
+    """_StateAssembly._regular_samples with one Python step per window
+    point: the oracle for its grouped form."""
+    sysm = assembly.sys
+    out = np.empty((len(susy.CHAIN_NAMES), xs.size))
+    window, offset = sysm._near_patches(xs)
+    direct = window < 0
+    if direct.any():
+        xd = xs[direct]
+        chain = sysm._direct_members(xd, susy.CHAIN_NAMES, n=3)
+        for i, jet in enumerate(chain):
+            v = jet.value
+            for (q, rho) in assembly.images[i]:
+                v = v - rho / (xd - q)
+            out[i, direct] = v
+    for k in np.flatnonzero(~direct):
+        x, t = xs[k], offset[k]
+        loc = sysm._active_local(sysm.patches[window[k]], +1 if t >= 0.0 else -1)
+        for i, name in enumerate(susy.CHAIN_NAMES):
+            lp = getattr(loc, name).structurally_trimmed(1e-12).regular_part()
+            v = float(lp(lp.x0 + t))
+            for (q, rho) in assembly.images[i]:
+                if abs(q - (x - t)) >= 1e-9:
+                    v -= rho / (x - q)
+            out[i, k] = v
+    return out
+
+
+def test_regular_samples_match_per_point(razavy1, beta_b0, beta_bnz, touch):
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        assembly = system._ensure_assembly()
+        xs = [np.linspace(0.0, system.period, 301)]
+        for p in system.patches:  # both sides of every window, its centre and edges
+            t = np.linspace(-p.eval_halfwidth, p.eval_halfwidth, 41)
+            xs.append(np.clip(p.x + t, 0.0, system.period))
+        xs = np.concatenate(xs)
+        assert assembly._regular_samples(xs).tobytes() == _regular_samples_per_point(assembly, xs).tobytes()
+
+
 # -- rejection paths ---------------------------------------------------------
 
 
@@ -1170,6 +1308,14 @@ def test_inadmissible_input_raises_with_report():
         construct("sin(x)", 1.0, 0.5, TWO_PI)
     assert exc.value.report is not None
     assert not exc.value.report.passed
+
+
+def test_untuned_lower_touch_is_rejected():
+    # detuned (5.0, 2.5) touches U = -2*eps0 where no W+ branch can vanish
+    # with slope +-2*eps0; the validator says so before construction
+    with pytest.raises(InadmissibleInputError) as exc:
+        construct(DETUNED, 5.0, 2.5, TWO_PI)
+    assert "lower_touch_curvature" in str(exc.value)
 
 
 def test_unremovable_pole_vanishing_slope():

@@ -260,3 +260,105 @@ def test_brentq_matches_scipy_step_for_step():
             want = _evaluations(brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
             got = _evaluations(validator._brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
             assert got == want
+
+
+# ------------------------------------------------------------------ level scans
+
+
+def _scan_roots_per_sample(cu, level):
+    """The level scan as one Python step per sample: the oracle for the
+    array scan of validator._scan_roots, which must find the same roots."""
+    L = cu.period
+    n = validator.GRID
+    xs = np.linspace(0.0, L, n, endpoint=False)
+    vals = cu.arr(xs) - level
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
+        return []
+
+    def f(x):
+        return cu.value(x) - level
+
+    roots = []
+    dx = L / n
+    for i in range(n):
+        a, b = vals[i], vals[(i + 1) % n]
+        if a == 0.0:
+            roots.append(xs[i])
+            continue
+        if a * b < 0.0:
+            roots.append(validator._refine_transversal(f, xs[i], xs[i] + dx))
+    absv = np.abs(vals)
+    for i in np.nonzero(absv < 1e-9 * scale)[0]:
+        if absv[i] <= absv[(i - 1) % n] and absv[i] <= absv[(i + 1) % n]:
+            got = validator._refine_tangential(lambda x: cu.deriv(x, 1), float(xs[i]), dx)
+            if got is not None and abs(f(got)) < 1e-7 * scale:
+                roots.append(got)
+    out = []
+    for r in sorted(r % L for r in roots):
+        if out and min(r - out[-1], out[0] + L - r) < 1e-8 * L:
+            continue
+        out.append(r)
+    return out
+
+
+def _bits(roots):
+    return [(type(r).__name__, r.hex()) for r in roots]
+
+
+def test_scan_roots_match_per_sample_scan():
+    rng = np.random.default_rng(12)
+    cases = [
+        (CompiledU("sin(x)", 1.0, 0.5, TWO_PI), 0.0),  # the sample at 0 is exactly 0
+        (CompiledU("sin(x)^2", 1.0, 0.5, TWO_PI), 1.0),  # tangential touches
+        (CompiledU("sin(x)^2", 1.0, 0.5, TWO_PI), 0.0),  # exact zero that is also a touch
+    ]
+    for u, e0, e1 in ((RAZAVY, 1.0, 0.5), (DETUNED, 2.8, 0.5), (DETUNED, 8.0, 2.5)):
+        cu = CompiledU(u, e0, e1, TWO_PI)
+        uv = cu.arr(np.linspace(0.0, TWO_PI, 512))
+        levels = [0.0, -2.0 * e0, 2.0 * e1] + rng.uniform(np.min(uv), np.max(uv), 6).tolist()
+        cases += [(cu, level) for level in levels]
+    touched = 0
+    for cu, level in cases:
+        want = _scan_roots_per_sample(cu, level)
+        assert _bits(validator._scan_roots(cu, level)) == _bits(want), (cu.expression, level)
+        touched += any(abs(cu.deriv(x, 1)) < 1e-6 for x in want)
+    assert touched >= 3
+
+
+# ------------------------------------------------------ lower-level touches
+
+
+def test_lower_touch_rule_rejects_untuned_curvature():
+    # detuned (5.0, 2.5) touches U = -2*eps0 at pi/2 with U''/2 = 70, but a
+    # branch vanishing with slope +2*eps0 needs 4*eps0*(eps0+eps1)/3 = 50
+    rep = check_admissibility(DETUNED, 5.0, 2.5, TWO_PI)
+    assert [c.name for c in rep.checks if not c.passed] == ["lower_touch_curvature"]
+    assert "2.000e+01" in rep.check("lower_touch_curvature").detail
+    assert rep.lower_crossings == pytest.approx((0.5 * math.pi, 1.5 * math.pi), abs=1e-9)
+
+
+def test_lower_touch_rule_accepts_tuned_touch():
+    # detuned (8.0, 2.5) meets it exactly: U''/2 = 112 = 4*8*10.5/3
+    rep = check_admissibility(DETUNED, 8.0, 2.5, TWO_PI)
+    assert rep.passed
+    assert rep.check("lower_touch_curvature").passed
+    assert len(rep.lower_crossings) == 2
+
+
+def test_lower_touch_rule_ignores_transversal_crossings():
+    # detuned (1.0, 3.0) dips to U = -2.4*eps0 at pi/2: four transversal
+    # crossings of the lower level, which the rule leaves to the other checks
+    rep = check_admissibility(DETUNED, 1.0, 3.0, TWO_PI)
+    assert rep.check("lower_touch_curvature").passed
+    assert len(rep.lower_crossings) == 4
+
+
+def test_lower_touch_rule_accepts_a_touch_from_below():
+    # U = -2*eps0 - k*eps0*(eps0+eps1)*cos(x)^2 touches the lower level from
+    # below at pi/2 and 3*pi/2 with U''/2 = -k*eps0*(eps0+eps1); a branch
+    # vanishing with slope -2*eps0 exists exactly at k = 4
+    for k, ok in ((4.0, True), (2.0, False)):
+        rep = check_admissibility(f"-2*eps0 - {k}*eps0*(eps0+eps1)*cos(x)^2", 1.0, 0.5, TWO_PI)
+        assert len(rep.lower_crossings) == 2
+        assert rep.check("lower_touch_curvature").passed == ok
