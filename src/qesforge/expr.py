@@ -12,6 +12,10 @@ Exponents are restricted to integer literals (optionally negated, chains fold
 right-associatively), which keeps jet arithmetic closed over the reals.
 Recognized identifiers: the variable x, parameters eps0/eps1, the constant pi,
 and the function names sin cos tan sinh cosh tanh exp sqrt.
+
+An expression has one evaluator, ``eval_jet``: values, derivatives and
+Taylor coefficients alike come from its jets, at one point or a batch, and
+a point outside the domain raises DomainEvaluationError there.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import jets
 from .errors import DomainEvaluationError, ParseError, UnknownIdentifierError
@@ -242,12 +244,6 @@ def parse(source: str) -> Expression:
     return Expression(_Parser(source).parse(), source)
 
 
-def _param(node: Param, params: dict) -> float:
-    if node.name not in params:
-        raise KeyError(f"parameter '{node.name}' not bound")
-    return params[node.name]
-
-
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
@@ -259,7 +255,9 @@ def _compile(node: Node, params: dict):
     if isinstance(node, Var):
         return _identity
     if isinstance(node, Param):
-        return float(_param(node, params))
+        if node.name not in params:
+            raise KeyError(f"parameter '{node.name}' not bound")
+        return float(params[node.name])
     if isinstance(node, Neg):
         return _lift(operator.neg, _compile(node.operand, params))
     if isinstance(node, BinOp):
@@ -299,11 +297,15 @@ def _lift(op, *parts):
 
 def eval_jet(e: Expression, x0: float, params: dict, n: int = jets.N_COEFF) -> jets.Jet:
     """Jet of n coefficients of the represented function at x0, with all
-    parameters bound.
+    parameters bound: n = 1 gives the value alone, and coefficient k is the
+    k-th derivative over k!.
 
     x0 may be a 1-D array of points: the result is then a batch jet (see
-    ``jets``).  The expression is compiled into a tree of closures once per
-    set of parameter values and kept on the expression."""
+    ``jets``), whose coefficients are arrays or, where they are the same at
+    every point, floats.  A division by zero, a pole of tan or a sqrt at or
+    below zero raises DomainEvaluationError at the first such point.  The
+    expression is compiled into a tree of closures once per set of
+    parameter values and kept on the expression."""
     key = tuple(map(params.get, PARAMETERS))
     f = e.compiled.get(key)
     if f is None:
@@ -311,49 +313,6 @@ def eval_jet(e: Expression, x0: float, params: dict, n: int = jets.N_COEFF) -> j
     if callable(f):
         return f(jets.variable(x0, n))
     return jets.constant(f, x0, n)
-
-
-def _eval(node: Node, x, params):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Param):
-        return _param(node, params)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x, params)
-    if isinstance(node, BinOp):
-        return _ARRAY_LIB[node.op](_eval(node.left, x, params), _eval(node.right, x, params))
-    if isinstance(node, Pow):
-        return _ARRAY_LIB["^"](_eval(node.base, x, params), node.exponent)
-    if isinstance(node, Call):
-        return _ARRAY_LIB[node.func](_eval(node.arg, x, params))
-    raise TypeError(f"unknown node {node!r}")
-
-
-_ARRAY_LIB = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": np.divide,
-    "^": lambda a, n: np.power(a, n) if n >= 0 else 1.0 / np.power(a, -n),
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-}
-
-
-def eval_array(e: Expression, x: np.ndarray, params: dict) -> np.ndarray:
-    """Vectorized plain-value evaluation (no domain diagnostics; NaN/inf propagate)."""
-    xv = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _eval(e.root, xv, params)
-    return np.full_like(xv, out) if np.ndim(out) == 0 else out
 
 
 def to_source(node_or_expr) -> str:

@@ -265,7 +265,8 @@ def _solve_tree(res_fn, n_coeffs, max_order, tol, wc=(), floor=0):
             return
         for order in range(floor, max_order + 1):
             g, rp, rm = res_fn(wc, order)
-            a = 0.5 * (rp + rm) - g
+            # w_p^2 first enters order 2p: below it any quadratic term is roundoff
+            a = 0.0 if 2 * len(wc) > order else 0.5 * (rp + rm) - g
             b = 0.5 * (rp - rm)
             gmax = max(abs(g), abs(rp), abs(rm))
             eff = max(tol, 1e-12 * gmax)

@@ -28,6 +28,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 from scipy.fft import dct
 
 from . import jets, local_series, validator
+from .validator import stable_discriminant
 from .errors import (
     BranchInconsistencyError,
     InadmissibleInputError,
@@ -55,15 +56,14 @@ BATCH_MIN = 12  # state batches below this many points run on Python floats
 # outcome is rare (a coefficient exactly 0)
 KERNELS_PER_KEY = 4
 
-# Length of the high-order local Taylor data for U (from its Fourier modes)
-# and of the series branches solved from it.
+# Length of the high-order local Taylor data for U (one jet per patch) and
+# of the series branches solved from it.
 U_TAYLOR_TERMS = 18
 LOCAL_COEFFS = 16
 # Where S has a high-order zero the direct evaluator inherits catastrophic
 # cancellation well beyond the nominal patch window; the matched series is
 # the accurate representation out to this fraction of the period.
 WIDE_EVAL_FRACTION = 8e-3
-FOURIER_SAMPLES = 4096
 
 KIND_SIMPLE_ZERO = "simple_zero"
 KIND_DOUBLE_ZERO = "double_zero"
@@ -162,10 +162,9 @@ def _chain(wp, u, pair: EnergyPair, d, cancel, stage: int = 5) -> _Chain:
 class _Patch:
     """A structural point of U with its per-(side, sign) matched branches."""
 
-    def __init__(self, x: float, kind: str, u_jet: jets.Jet):
+    def __init__(self, x: float, kind: str):
         self.x = x
         self.kind = kind
-        self.u_jet = u_jet
         self.branches = {}  # (side, sign) -> _Chain of LaurentPoly, or why its pole cannot cancel
         self.w0_series = {}  # (side, sign) -> W0's trimmed series in the offset, and its slope
         self.vplus_pole = False
@@ -188,14 +187,6 @@ def _reduce(x, period: float):
     if xr < 0.0:
         xr += period
     return xr
-
-
-def stable_discriminant(u_jet: jets.Jet, pair: EnergyPair, up: jets.Jet | None = None) -> jets.Jet:
-    """Jet of S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1), given U' too if the
-    caller has it; total, never raises."""
-    if up is None:
-        up = jets.differentiate(u_jet)
-    return up * up + 4.0 * u_jet * (u_jet + 2.0 * pair.eps0) * (u_jet - 2.0 * pair.eps1)
 
 
 def _product_form(u, up, sqrt_s, sign, pair: EnergyPair):
@@ -224,7 +215,6 @@ class ConstructedSystem:
         self.u = validator.CompiledU(u, self.pair.eps0, self.pair.eps1, self.period)
         self.patch_halfwidth = PATCH_FRACTION * self.period
         self.midpoint = 0.5 * self.period
-        self._build_fourier()
         self.report = None
         if validate:
             self.report = validator.check_admissibility(self.u, eps0, eps1, period)
@@ -245,28 +235,6 @@ class ConstructedSystem:
     # ------------------------------------------------------------------
     # construction phases
     # ------------------------------------------------------------------
-
-    def _build_fourier(self):
-        """Retained Fourier modes of U, for Taylor data beyond the jet order."""
-        n = FOURIER_SAMPLES
-        xs = np.arange(n) * (self.period / n)
-        spec = np.fft.rfft(np.asarray(self.u.arr(xs), dtype=float)) / n
-        mag = np.abs(spec)
-        keep = np.nonzero(mag > 1e-13 * max(float(mag.max()), 1e-300))[0]
-        weight = np.where((keep == 0) | (keep == n // 2), 1.0, 2.0)
-        self._fourier_amp = spec[keep] * weight
-        self._fourier_freq = keep * (2.0 * math.pi / self.period)
-
-    def _u_taylor(self, x0: float, m: int):
-        """First m Taylor coefficients of U at x0, via its Fourier modes."""
-        cur = self._fourier_amp * np.exp(1j * self._fourier_freq * x0)
-        out = [float(np.sum(cur.real))]
-        fact = 1.0
-        for k in range(1, m):
-            cur = cur * (1j * self._fourier_freq)
-            fact *= k
-            out.append(float(np.sum(cur.real)) / fact)
-        return tuple(out)
 
     def _classify_points(self):
         L = self.period
@@ -301,7 +269,7 @@ class ConstructedSystem:
                 if min(p, L - p) > 1e-6 * L:
                     pts.append((p, KIND_BRANCH_TOUCH))
         pts.sort()
-        self.patches = [_Patch(p, kind, self.u.jet(p)) for p, kind in pts]
+        self.patches = [_Patch(p, kind) for p, kind in pts]
         self._patch_xs = [p.x for p in self.patches]
         n = len(self.patches)
         for i, patch in enumerate(self.patches):
@@ -338,12 +306,14 @@ class ConstructedSystem:
                 # the first smallest sample of the run, in run order
                 imin = (a + int(np.argmin(np.take(av, range(a, b + 1), mode="wrap")))) % n
                 out.append(imin * L / n)
-        flip = (sv * np.roll(sv, -1) < 0) & ~tiny & ~np.roll(tiny, -1)
+        sign = np.sign(sv)  # compared, not multiplied, as the validator's scans do
+        flip = (sign * np.roll(sign, -1) < 0) & ~tiny & ~np.roll(tiny, -1)
         out.extend((i + 0.5) * L / n for i in np.flatnonzero(flip).tolist())
         return sorted(out)
 
     def _is_breakpoint(self, x: float) -> bool:
-        s = stable_discriminant(self.u.jet(x, 2), self.pair).value
+        u, up = self.u.jet(x, 2).coeffs
+        s = stable_discriminant(u, up, self.pair.eps0, self.pair.eps1)
         return abs(s) <= 1e-8 * self._s_scale
 
     def _build_branch_map(self):
@@ -441,13 +411,7 @@ class ConstructedSystem:
         h = self.patch_halfwidth
         e0, e1 = self.pair.eps0, self.pair.eps1
         for patch in self.patches:
-            uc = self._u_taylor(patch.x, U_TAYLOR_TERMS)
-            scale = max(1.0, max(abs(c) for c in patch.u_jet.coeffs))
-            for a, b in zip(uc, patch.u_jet.coeffs):
-                if abs(a - b) > 1e-7 * scale:
-                    raise PatchFailureError(
-                        patch.x, "Fourier-mode Taylor data disagrees with the jet of U"
-                    )
+            uc = self.u.jet(patch.x, U_TAYLOR_TERMS).coeffs
             candidates = list(
                 local_series.taylor_branches(patch.x, uc, e0, e1, n_coeffs=LOCAL_COEFFS)
             )
@@ -623,7 +587,7 @@ class ConstructedSystem:
         # the rest reads U to the orders U' carries: a shorter jet of U has
         # the same leading coefficients, so W+ does too, at less cost
         u = jets.Jet(u.x0, u.coeffs[: len(up.coeffs)])
-        s = stable_discriminant(u, self.pair, up)
+        s = stable_discriminant(u, up, self.pair.eps0, self.pair.eps1)
         scale = (
             up.value * up.value
             + abs(4.0 * u.value * (u.value + 2.0 * self.pair.eps0) * (u.value - 2.0 * self.pair.eps1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class AdmissibilityReport:
     s_min: float
     range_ok: bool
     checks: tuple = field(default=())
-    # S on the uniform GRID of discriminant_samples and the points where U
+    # S on the uniform GRID of CompiledU.grid and the points where U
     # meets the lower level -2 eps0, reused by the construction
     s_samples: np.ndarray = field(default=None, repr=False, compare=False)
     lower_crossings: tuple = field(default=None, repr=False, compare=False)
@@ -63,7 +64,8 @@ class AdmissibilityReport:
 
 
 class CompiledU:
-    """U bound to parameter values, with array, scalar and jet access."""
+    """U bound to parameter values; every value and derivative of U is read
+    from its jets."""
 
     def __init__(self, u, eps0: float, eps1: float, period: float):
         if isinstance(u, str):
@@ -74,19 +76,30 @@ class CompiledU:
         self.period = float(period)
         self.params = {"eps0": self.eps0, "eps1": self.eps1}
 
-    def arr(self, x):
-        return expr.eval_array(self.expression, x, self.params)
-
     def jet(self, x: float, n: int = jets.N_COEFF) -> jets.Jet:
         """Jet of the first n Taylor coefficients of U at x (or a batch)."""
         return expr.eval_jet(self.expression, x, self.params, n)
 
     def value(self, x: float) -> float:
-        """U(x) without derivatives, so root refinement builds no jet."""
-        return float(self.arr(x))
+        """U(x) from a jet of the value alone, for root refinement."""
+        return self.jet(x, 1).value
 
     def deriv(self, x: float, k: int = 1) -> float:
         return self.jet(x, k + 1).derivative(k)
+
+    @cached_property
+    def grid(self):
+        """(xs, U, U') on GRID uniform samples of one period, from one batch
+        jet that every scan of the validator and the construction reads."""
+        xs = np.linspace(0.0, self.period, GRID, endpoint=False)
+        u, up = (np.broadcast_to(c, xs.shape) for c in self.jet(xs, 2).coeffs)
+        return xs, u, up
+
+
+def stable_discriminant(u, up, eps0: float, eps1: float):
+    """S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1) from U and U', as floats,
+    arrays or jets alike; total, never raises."""
+    return up * up + 4.0 * u * (u + 2.0 * eps0) * (u - 2.0 * eps1)
 
 
 def _refine_transversal(f, lo: float, hi: float) -> float:
@@ -137,14 +150,17 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
 
 
 def _refine_tangential(fp, x: float, dx: float):
-    """Refine a touch point as a root of f'; None if f' has no sign change."""
+    """Refine a touch point as a root of f'; None if f' has no sign change.
+
+    Signs are compared, not multiplied: a product of two tiny values
+    underflows to 0 and would pass a same-sign bracket to _brentq."""
     lo, hi = x - dx, x + dx
     flo, fhi = fp(lo), fp(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         return None
     return _refine_transversal(fp, lo, hi)
 
@@ -152,8 +168,8 @@ def _refine_tangential(fp, x: float, dx: float):
 def _scan_roots(cu: CompiledU, level: float) -> list:
     """All roots of U - level in [0, L), transversal and tangential."""
     L = cu.period
-    xs = np.linspace(0.0, L, GRID, endpoint=False)
-    vals = cu.arr(xs) - level
+    xs, uv, _ = cu.grid
+    vals = uv - level
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return []
@@ -167,8 +183,10 @@ def _scan_roots(cu: CompiledU, level: float) -> list:
     roots = []
     dx = L / GRID
     # transversal: an exact zero sample, or a sign change to the next
-    # sample (circular); only the brentq refinements run per root
-    for i in np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0)):
+    # sample (circular), by signs so tiny values cannot underflow; only the
+    # brentq refinements run per root
+    sign = np.sign(vals)
+    for i in np.flatnonzero((sign == 0.0) | (sign * np.roll(sign, -1) < 0.0)):
         roots.append(xs[i] if vals[i] == 0.0 else _refine_transversal(f, xs[i], xs[i] + dx))
     # tangential: local minima of |U - level| that graze zero
     absv = np.abs(vals)
@@ -199,8 +217,7 @@ def _zero_order(cu: CompiledU, x: float, scale: float) -> int:
 def locate_zeros(u, eps0: float, eps1: float, period: float) -> tuple:
     """Zeros of U in [0, period) with orders, sorted by location."""
     cu = u if isinstance(u, CompiledU) else CompiledU(u, eps0, eps1, period)
-    xs = np.linspace(0.0, cu.period, GRID, endpoint=False)
-    scale = float(np.max(np.abs(cu.arr(xs))))
+    scale = float(np.max(np.abs(cu.grid[1])))
     records = []
     for r in _scan_roots(cu, 0.0):
         order = _zero_order(cu, r, scale)
@@ -214,18 +231,10 @@ def locate_zeros(u, eps0: float, eps1: float, period: float) -> tuple:
     return tuple(records)
 
 
-def _fft_derivative(vals: np.ndarray, period: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.rfftfreq(len(vals), d=period / len(vals))
-    return np.fft.irfft(1j * k * np.fft.rfft(vals), n=len(vals))
-
-
-def discriminant_samples(cu: CompiledU, n: int = GRID):
-    """S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1) on a uniform grid."""
-    xs = np.linspace(0.0, cu.period, n, endpoint=False)
-    uv = cu.arr(xs)
-    up = _fft_derivative(uv, cu.period)
-    sv = up * up + 4.0 * uv * (uv + 2.0 * cu.eps0) * (uv - 2.0 * cu.eps1)
-    return xs, sv
+def discriminant_samples(cu: CompiledU):
+    """(xs, S) on the GRID samples of CompiledU.grid."""
+    xs, uv, up = cu.grid
+    return xs, stable_discriminant(uv, up, cu.eps0, cu.eps1)
 
 
 def check_admissibility(u, eps0: float, eps1: float, period: float) -> AdmissibilityReport:
@@ -233,8 +242,7 @@ def check_admissibility(u, eps0: float, eps1: float, period: float) -> Admissibi
     cu = u if isinstance(u, CompiledU) else CompiledU(u, eps0, eps1, period)
     L = cu.period
     xm = 0.5 * L
-    xs = np.linspace(0.0, L, GRID, endpoint=False)
-    uv = cu.arr(xs)
+    uv = cu.grid[1]
     scale = float(np.max(np.abs(uv)))
     ref = max(scale, 1.0)
     checks = []
@@ -246,11 +254,11 @@ def check_admissibility(u, eps0: float, eps1: float, period: float) -> Admissibi
     add("energies_positive", pos, f"eps0={cu.eps0:g}, eps1={cu.eps1:g}")
 
     probes = np.linspace(0.0, L, 17)
-    per_defect = float(np.max(np.abs(cu.arr(probes + L) - cu.arr(probes))))
+    per_defect = float(np.max(np.abs(cu.jet(probes + L, 1).value - cu.jet(probes, 1).value)))
     add("periodicity", per_defect <= 1e-8 * ref, f"defect {per_defect:.3e}")
 
     t = np.linspace(0.0, 0.5 * L, 512, endpoint=False)[1:]
-    parity_defect = float(np.max(np.abs(cu.arr(xm + t) - cu.arr(xm - t))))
+    parity_defect = float(np.max(np.abs(cu.jet(xm + t, 1).value - cu.jet(xm - t, 1).value)))
     add("parity_about_midpoint", parity_defect <= 1e-8 * ref, f"defect {parity_defect:.3e}")
 
     zeros = locate_zeros(cu, cu.eps0, cu.eps1, L)

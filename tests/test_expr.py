@@ -116,8 +116,8 @@ def test_round_trip():
         e2 = expr.parse(printed)
         assert expr.to_source(e2) == printed
         xs = np.linspace(0.3, 1.1, 7)
-        v1 = expr.eval_array(e1, xs, P)
-        v2 = expr.eval_array(e2, xs, P)
+        v1 = [np.broadcast_to(c, xs.shape) for c in expr.eval_jet(e1, xs, P).coeffs]
+        v2 = [np.broadcast_to(c, xs.shape) for c in expr.eval_jet(e2, xs, P).coeffs]
         np.testing.assert_allclose(v1, v2, rtol=0, atol=0)
 
 
@@ -126,18 +126,24 @@ def test_subtraction_left_associative():
     assert expr.eval_jet(expr.parse("2 / 4 / 2"), 0.0, {}).value == 0.25
 
 
-def test_eval_array_matches_jet():
+def test_value_jet_matches_full_jet():
+    # a jet of the value alone is the leading coefficient of the full one,
+    # for a batch as for each point
     e = expr.parse(RAZAVY_U)
     xs = np.linspace(0.0, 2 * math.pi, 17)
-    arr = expr.eval_array(e, xs, P)
+    values = expr.eval_jet(e, xs, P, 1)
+    assert len(values.coeffs) == 1
+    np.testing.assert_allclose(values.value, expr.eval_jet(e, xs, P).value, rtol=0, atol=0)
     jet_vals = np.array([expr.eval_jet(e, float(x), P).value for x in xs])
-    np.testing.assert_allclose(arr, jet_vals, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(values.value, jet_vals, rtol=1e-15, atol=1e-15)
 
 
-def test_eval_array_constant_broadcast():
-    arr = expr.eval_array(expr.parse("3"), np.zeros(5), {})
-    assert arr.shape == (5,)
-    assert (arr == 3.0).all()
+def test_constant_batch_jet():
+    # a constant's coefficients are floats shared by every point of the batch
+    xs = np.zeros(5)
+    j = expr.eval_jet(expr.parse("3"), xs, {}, 2)
+    assert j.x0 is xs
+    assert j.coeffs == (3.0, 0.0)
 
 
 def test_all_functions_parse_and_evaluate():

@@ -321,9 +321,9 @@ def test_order_residual_matches_full_residual(pole):
 # ------------------------------------------------- the solve on real patches
 
 DETUNED = "4*eps0*eps1*sin(x)^2*((1-{a})+{a}*cos(2*x))"
-# every family member that builds (the 12 of the benchmark scan grid, Razavy
-# (3.0, 2.5), detuned (2.8, 0.5) and the touch (8.0, 2.5)), and Razavy
-# (3.2, 2.5), which fails after solving both its double zeros
+# every family member that builds and assembles (the 12 of the benchmark
+# scan grid, Razavy (3.0, 2.5), detuned (2.8, 0.5) and the touch (8.0, 2.5)),
+# and Razavy (3.2, 2.5), which builds but fails in its state assembly
 PATCH_MEMBERS = [
     (0.0, 1.0, 0.5), (0.0, 3.2, 0.5), (0.0, 5.0, 0.5), (0.0, 5.0, 2.5),
     (0.2, 3.2, 0.5), (0.2, 5.0, 0.5), (0.2, 5.0, 2.5), (0.4, 3.2, 0.5),
@@ -364,10 +364,7 @@ def patch_solves():
     try:
         for member in PATCH_MEMBERS:
             a, e0, e1 = member
-            try:
-                susy.construct(DETUNED.format(a=a), e0, e1, 2.0 * math.pi)
-            except susy.SeamMismatchError:
-                assert member == (0.0, 3.2, 2.5)
+            susy.construct(DETUNED.format(a=a), e0, e1, 2.0 * math.pi)
     finally:
         mp.undo()
     return calls
@@ -384,10 +381,13 @@ def test_resumed_solve_matches_two_solves(patch_solves):
     for c in patch_solves:
         want = series_oracle.taylor_branches_two_solves(*c["args"], **c["kwargs"])
         assert _series_bits(c["got"]) == _series_bits(want), (c["member"], c["args"][0])
-    # Razavy (3.2, 2.5)'s double zeros keep their roundoff fork at
-    # coefficient 15: four branches at 0, two at pi
+    # Razavy (3.2, 2.5)'s double zeros each give the same two branches,
+    # w2 = +-4.05: at coefficient 15 the refinement solve reads order 17,
+    # which w15^2 cannot enter, so no roundoff quadratic term forks one
+    # branch or kills the other
     razavy = {round(c["args"][0], 6): c["got"] for c in patch_solves if c["member"] == (0.0, 3.2, 2.5)}
-    assert len(razavy[0.0]) == 4 and len(razavy[round(math.pi, 6)]) == 2
+    for x in (0.0, round(math.pi, 6)):
+        assert sorted(b.coeffs[2] for b in razavy[x]) == pytest.approx([-4.05, 4.05], abs=5e-3)
 
 
 def test_solve_reads_each_residual_order_once(patch_solves):

@@ -581,18 +581,22 @@ def test_one_u_jet_per_point(beta_b0, eval_jet_calls, kernel_runs):
 
 # the jet length of U each caller asks for: the orders the members it reads
 # need (W+ and W~+ 2, W0, W1, W2 and g 3, h 4) plus one for a slope; the
-# public jets and the zero-order probe take the full length
+# public jets and the zero-order probe take the full length, a patch's
+# series solve its U_TAYLOR_TERMS, the scan grid U and U', and the root
+# refinement and the periodicity and parity probes the value alone
 STATED_U_TERMS = {
-    "potentials": 4,
-    "_regular_samples": 3,
-    "_match_patches": 2,
-    "_verify_oddness": 2,
-    "_is_breakpoint": 2,
-    "_glue_preference": 3,
-    "_classify_points": jets.N_COEFF,
-    "_zero_order": jets.N_COEFF,
-    "chain": jets.N_COEFF,
-    "w_plus": jets.N_COEFF,
+    "potentials": {4},
+    "_regular_samples": {3},
+    "_match_patches": {2, susy.U_TAYLOR_TERMS},
+    "_verify_oddness": {2},
+    "_is_breakpoint": {2},
+    "_glue_preference": {3},
+    "_zero_order": {jets.N_COEFF},
+    "chain": {jets.N_COEFF},
+    "w_plus": {jets.N_COEFF},
+    "grid": {2},
+    "value": {1},
+    "check_admissibility": {1},
 }
 
 
@@ -625,9 +629,9 @@ def test_callers_request_the_orders_they_read(monkeypatch):
     system.superpotentials(xs[0])
     system.w_plus(xs[0])
     stated = dict(STATED_U_TERMS)
-    stated.update({"deriv k=1": 2, "deriv k=2": 3, "deriv k=3": 4})
-    stated.update({"evaluate ['wp', 'g']": 3, "evaluate ['h']": 4})
-    assert requested == {name: {n} for name, n in stated.items()}
+    stated.update({"deriv k=1": {2}, "deriv k=2": {3}, "deriv k=3": {4}})
+    stated.update({"evaluate ['wp', 'g']": {3}, "evaluate ['h']": {4}})
+    assert requested == stated
     assert list(system._kernels) == [(system.branch_map.sign_at(xs[0]), 4)]
 
 
@@ -659,6 +663,39 @@ def test_validated_build_samples_discriminant_once(monkeypatch):
     monkeypatch.setattr(validator, "discriminant_samples", counting)
     construct(RAZAVY, 1.0, 0.5, TWO_PI)
     assert len(calls) == 1
+
+
+def test_validated_build_samples_the_grid_once(eval_jet_calls):
+    # the validator's scans and the construction read one batch jet of U
+    # and U' on the scan grid
+    construct(DETUNED, 2.8, 0.5, TWO_PI)
+    grids = [x0 for x0 in eval_jet_calls if np.size(x0) == validator.GRID]
+    assert len(grids) == 1
+
+
+def test_each_patch_reads_one_long_u_jet(monkeypatch):
+    # a patch's series solve reads its Taylor data from one jet of U
+    calls = []
+    original = expr.eval_jet
+
+    def recording(e, x0, params, n=jets.N_COEFF):
+        calls.append((x0, n))
+        return original(e, x0, params, n)
+
+    monkeypatch.setattr(expr, "eval_jet", recording)
+    for u, e0, e1 in ((RAZAVY, 1.0, 0.5), (DETUNED, 8.0, 2.5)):
+        calls.clear()
+        system = construct(u, e0, e1, TWO_PI)
+        long = [x0 for x0, n in calls if n == susy.U_TAYLOR_TERMS]
+        assert long == [p.x for p in system.patches]
+
+
+@pytest.mark.parametrize("u", ["cos(x)*1e-300", "sin(x)*1e-300", "1/sin(x)"])
+def test_tiny_or_singular_u_raises_typed(u):
+    # sign changes of values whose products underflow, and a pole on a
+    # grid sample, end in a typed error, never a raw one from root finding
+    with pytest.raises(QesError):
+        construct(u, 1.0, 0.5, TWO_PI)
 
 
 def test_assembly_samples_each_node_once(eval_jet_calls, monkeypatch):

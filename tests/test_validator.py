@@ -36,8 +36,22 @@ def test_compiled_u_accessors():
     assert cu.deriv(0.8) == pytest.approx(2.0 * math.sin(1.6), rel=1e-12)
     assert cu.deriv(0.8, 2) == pytest.approx(4.0 * math.cos(1.6), rel=1e-12)
     xs = np.array([0.0, 0.8, 2.5])
-    np.testing.assert_allclose(cu.arr(xs), 2.0 * np.sin(xs) ** 2, atol=1e-14)
+    np.testing.assert_allclose(cu.jet(xs, 1).value, 2.0 * np.sin(xs) ** 2, atol=1e-14)
     assert cu.params == {"eps0": 1.0, "eps1": 0.5}
+
+
+def test_compiled_u_grid():
+    # U and U' on the scan grid, from one batch jet kept on the instance
+    cu = CompiledU(RAZAVY, 1.0, 0.5, TWO_PI)
+    xs, u, up = cu.grid
+    assert cu.grid is cu.grid
+    np.testing.assert_array_equal(xs, np.linspace(0.0, TWO_PI, validator.GRID, endpoint=False))
+    np.testing.assert_allclose(u, 2.0 * np.sin(xs) ** 2, atol=1e-14)
+    np.testing.assert_allclose(up, 2.0 * np.sin(2.0 * xs), atol=1e-14)
+    # a constant's coefficients are shared floats, spread over the grid
+    xs, u, up = CompiledU("3", 1.0, 0.5, TWO_PI).grid
+    assert u.shape == up.shape == xs.shape
+    assert (u == 3.0).all() and (up == 0.0).all()
 
 
 def test_compiled_u_accepts_parsed_expression():
@@ -119,6 +133,19 @@ def test_discriminant_samples_frozen_values():
     j = 512  # pi/4
     assert sv[j] == pytest.approx(4.0, rel=1e-9)
     assert float(np.min(sv)) > -1e-9 * float(np.max(np.abs(sv)))
+
+
+def test_discriminant_samples_match_closed_form_on_a_sharp_u():
+    # U = 1/(a - cos x) with a - 1 = 1e-5 peaks at 1e5 over a width of
+    # ~4.5e-3: U' from the jets is exact to roundoff, where a spectral
+    # derivative from the grid samples aliases
+    a = 1.00001
+    cu = CompiledU(f"1/({a} - cos(x))", 1.0, 0.5, TWO_PI)
+    xs, sv = discriminant_samples(cu)
+    c = a - np.cos(xs)
+    u, up = 1.0 / c, -np.sin(xs) / c**2
+    want = up * up + 4.0 * u * (u + 2.0) * (u - 1.0)
+    assert float(np.max(np.abs(sv - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
 
 def test_discriminant_negative_for_small_eps0():
@@ -271,7 +298,7 @@ def _scan_roots_per_sample(cu, level):
     L = cu.period
     n = validator.GRID
     xs = np.linspace(0.0, L, n, endpoint=False)
-    vals = cu.arr(xs) - level
+    vals = cu.jet(xs, 1).value - level
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return []
@@ -286,7 +313,7 @@ def _scan_roots_per_sample(cu, level):
         if a == 0.0:
             roots.append(xs[i])
             continue
-        if a * b < 0.0:
+        if a < 0.0 < b or b < 0.0 < a:
             roots.append(validator._refine_transversal(f, xs[i], xs[i] + dx))
     absv = np.abs(vals)
     for i in np.nonzero(absv < 1e-9 * scale)[0]:
@@ -312,10 +339,11 @@ def test_scan_roots_match_per_sample_scan():
         (CompiledU("sin(x)", 1.0, 0.5, TWO_PI), 0.0),  # the sample at 0 is exactly 0
         (CompiledU("sin(x)^2", 1.0, 0.5, TWO_PI), 1.0),  # tangential touches
         (CompiledU("sin(x)^2", 1.0, 0.5, TWO_PI), 0.0),  # exact zero that is also a touch
+        (CompiledU("cos(x)*1e-300", 1.0, 0.5, TWO_PI), 0.0),  # neighbours' products underflow
     ]
     for u, e0, e1 in ((RAZAVY, 1.0, 0.5), (DETUNED, 2.8, 0.5), (DETUNED, 8.0, 2.5)):
         cu = CompiledU(u, e0, e1, TWO_PI)
-        uv = cu.arr(np.linspace(0.0, TWO_PI, 512))
+        uv = cu.jet(np.linspace(0.0, TWO_PI, 512), 1).value
         levels = [0.0, -2.0 * e0, 2.0 * e1] + rng.uniform(np.min(uv), np.max(uv), 6).tolist()
         cases += [(cu, level) for level in levels]
     touched = 0
