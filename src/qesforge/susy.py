@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.fft import dct
 
 from . import jets, local_series, validator
 from .validator import stable_discriminant
@@ -43,6 +42,12 @@ from .errors import (
 PATCH_FRACTION = 1e-3
 SEAM_TOL = 1e-8
 DISC_TOL = 1e-12
+# First rung of the antiderivative ladder.  Far more nodes than most tables
+# keep (the cut leaves 14-206 coefficients on the bench family), but a
+# sample call is mostly per-call work (1.2-1.6 ms at 17-65 nodes, 2.5-6.7 ms
+# at 512), so a ladder that starts low and climbs pays several calls where
+# this one pays one: started at 24 or 32 nodes it made assembly ~1.6x
+# slower over the family-scan members.
 CHEB_DEGREE = 512
 # Chain functions can have complex branch points close to the real axis
 # (steep shoulders in the potential); the antiderivative tables double
@@ -814,18 +819,43 @@ def _partner_potentials(w0, slope):
 
 
 def _cheb_fit(f, n: int, lo: float, hi: float) -> Chebyshev:
-    """Degree n-1 Chebyshev interpolant on [lo, hi] via first-kind nodes.
+    """Degree n-1 Chebyshev interpolant on [lo, hi] via first-kind nodes,
+    every coefficient kept: the ladder tests the tail before the assembly
+    cuts it.
 
-    The DCT route avoids the O(n^2) Vandermonde of Chebyshev.interpolate,
-    which matters once the resolution ladder climbs past a few thousand.
+    The DCT route (numpy's FFT, see _dct2) avoids the O(n^2) Vandermonde of
+    Chebyshev.interpolate, which matters once the resolution ladder climbs
+    past a few thousand.
     """
     j = np.arange(n)
     theta = (2.0 * j + 1.0) * math.pi / (2.0 * n)
     x = np.cos(theta)
     y = f(lo + (hi - lo) * 0.5 * (x + 1.0))
-    c = dct(y, type=2) / n
+    c = _dct2(y) * (2.0 / n)
     c[0] *= 0.5
     return Chebyshev(c, domain=[lo, hi])
+
+
+def _dct2(y: np.ndarray) -> np.ndarray:
+    """sum_j y_j cos(pi k (2j + 1) / 2n) for k < n = len(y), from one complex
+    FFT of y's even samples followed by its odd ones reversed (Makhoul,
+    IEEE TASSP 28(1), 1980)."""
+    n = y.size
+    v = np.concatenate((y[::2], y[1::2][::-1]))
+    return (np.exp(-0.5j * math.pi / n * np.arange(n)) * np.fft.fft(v)).real
+
+
+def _antiderivative(c: np.ndarray, scale: float) -> np.ndarray:
+    """Chebyshev coefficients of the antiderivative of scale * sum c_k T_k:
+    C_k = scale * (c_{k-1} - c_{k+1}) / 2k with c_0 counted twice, as
+    chebint's loop computes them; the free constant C_0 is 0."""
+    m = c.size
+    d = np.zeros(m + 2)
+    d[:m] = c * scale
+    d[0] *= 2.0
+    out = np.zeros(m + 1)
+    out[1:] = (d[:m] - d[2:]) / (2.0 * np.arange(1, m + 1))
+    return out
 
 
 class _StateAssembly:
@@ -843,6 +873,11 @@ class _StateAssembly:
     period vanishes, and the factors are periodic.
     A scalar x is a batch of one: phi is one Clenshaw pass per segment, the
     factors one chain batch outside the windows, grouped local series inside.
+    Each table integrates the shortest prefix of its converged fit whose
+    whole dropped tail passes the ladder's own test (Chebfun's chop once a
+    series has converged; Aurentz & Trefethen, ACM TOMS 43(4), 2017), so it
+    is as long as its function needs; a segment's three rows are zero-padded
+    to the longest, and both Clenshaw loops read the same padded rows.
     """
 
     def __init__(self, system: ConstructedSystem):
@@ -881,25 +916,28 @@ class _StateAssembly:
                 n = CHEB_DEGREE
                 while True:
                     cheb = _cheb_fit(sample, n, a, b)
-                    tail = float(np.max(np.abs(cheb.coef[-max(8, n // 8):])))
-                    scale = float(np.max(np.abs(cheb.coef)))
-                    if tail <= CHEB_TAIL_REL * max(scale, 1e-300):
+                    mag = np.abs(cheb.coef)
+                    tail = float(np.max(mag[-max(8, n // 8):]))
+                    scale = max(float(np.max(mag)), 1e-300)
+                    if tail <= CHEB_TAIL_REL * scale:
                         break
                     if n >= CHEB_DEGREE_MAX:
                         # the tables are the integrals of W_i: an unconverged fit fails
-                        raise QuadratureNonconvergenceError(a, b, tail / max(scale, 1e-300), CHEB_TAIL_REL)
+                        raise QuadratureNonconvergenceError(a, b, tail / scale, CHEB_TAIL_REL)
                     n *= 2
-                cheb = cheb.integ()
-                at_a = float(cheb(a))
-                self.seg_tables[i].append(cheb)
+                # the shortest prefix whose whole dropped tail passes that test
+                live = np.flatnonzero(mag > CHEB_TAIL_REL * scale)
+                c = _antiderivative(cheb.coef[: live[-1] + 1 if live.size else 1], 0.5 * (b - a))
+                at_a = float(np.sum(c[::2]) - np.sum(c[1::2]))  # T_k(-1) = (-1)^k
+                self.seg_tables[i].append(Chebyshev(c, domain=[a, b]))
                 self.seg_base[i].append(acc[i] - at_a)
-                acc[i] += float(cheb(b)) - at_a
+                acc[i] += float(np.sum(c)) - at_a  # T_k(1) = 1
             # the three tables zero-padded to one length (leading zeros change
             # no bit of a Clenshaw sum), also as Python floats for small batches
             n = max(len(t[-1].coef) for t in self.seg_tables)
             coef = np.column_stack([np.pad(t[-1].coef, (0, n - len(t[-1].coef))) for t in self.seg_tables])
             base = np.array([per_chain[-1] for per_chain in self.seg_base])
-            self._segments.append((*cheb.mapparms(), base, coef, coef.T.tolist()))
+            self._segments.append((*self.seg_tables[0][-1].mapparms(), base, coef, coef.T.tolist()))
         self.phi_mid = self._phi(np.array([self.xm]))[:, 0].tolist()
 
     def _phi(self, x: np.ndarray, chains=range(len(CHAIN_NAMES))) -> np.ndarray:

@@ -107,8 +107,9 @@ def _refine_transversal(f, lo: float, hi: float) -> float:
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """scipy.optimize.brentq step for step, errors included (Brent 1973,
-    ch. 4): written out because importing scipy.optimize costs ~22 MB."""
+    """Brent's method (Brent 1973, ch. 4) step for step as the brentq the
+    tests compare against takes it, errors included: written out so that
+    the package runs on numpy alone."""
 
     def call(x):
         v = float(f(x))
