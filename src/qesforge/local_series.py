@@ -1,39 +1,38 @@
-"""Local series solutions of the branch quadratic near special points.
+"""Local series of the branch quadratic near special points.
 
 The summed superpotential w(x) obeys a pointwise quadratic relation
 
     (U - 2*eps1) w^2 + U' w - U (U + 2*eps0) = 0,
 
 which degenerates wherever its leading coefficient, linear coefficient, or
-discriminant vanishes.  Near such points the stable representation is a short
-Laurent/Taylor series in t = x - x0.  This module provides exact truncated
-polynomial arithmetic on such series and an order-by-order solver that finds
-every formal series branch of the quadratic, including pole branches with
-residue -1 via the substitution p = t*w.
+discriminant S = U'^2 + 4 U (U + 2*eps0)(U - 2*eps1) vanishes.  Near such
+points the stable representation is a short Laurent/Taylor series in
+t = x - x0.  This module provides truncated polynomial arithmetic on such
+series and ``taylor_branches``, which writes each branch in closed form from
+a series square root of S: the pole branch with residue -1 at an upper
+strip edge included.
 
 Input U data comes as Taylor coefficients (c_k = U^(k)(x0)/k!); their count
-bounds the orders of the residual that are trustworthy, and the solver never
-constrains a coefficient from an order the input cannot support.  N_TERMS is
-the default length for jet-sourced input; longer inputs yield longer series.
+bounds the orders a branch carries, so longer inputs yield longer series.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-N_TERMS = 7
+from . import jets
+from .validator import stable_discriminant
 
 
-def _pad(a, n=N_TERMS):
+def _pad(a, n):
     out = list(a[:n])
     out.extend(0.0 for _ in range(n - len(out)))
     return out
 
 
-def _pmul(a, b, n=N_TERMS):
+def _pmul(a, b, n):
     out = [0.0] * n
     for i, ai in enumerate(a[:n]):
         if ai == 0.0:
@@ -168,193 +167,63 @@ def taylor(x0: float, coeffs) -> LaurentPoly:
     return LaurentPoly(x0, 0, tuple(float(c) for c in coeffs))
 
 
-PROBES = (0.0, 1.0, -1.0)
+def _trimmed(j: jets.Jet, window: int = 4) -> LaurentPoly:
+    """A Taylor jet as a series, less the leading orders that are roundoff
+    next to the orders after them (see LaurentPoly.structurally_trimmed)."""
+    return LaurentPoly(j.x0, 0, j.coeffs).structurally_trimmed(1e-12, window)
 
 
-def _order_residual(u, eps0, eps1, pole: bool):
-    """One order of the residual at the solver's three probes, as fn(wc, k).
+def _discriminant(u: jets.Jet, du: LaurentPoly, eps0: float, eps1: float) -> LaurentPoly:
+    """S = U'^2 + 4 U (U + 2 eps0)(U - 2 eps1) from U's jet and U' trimmed,
+    with its valuation read off.
 
-    fn(wc, k)[n] equals order k of the full residual of wc + [PROBES[n]]
-    bit for bit: residual_taylor (residual_pole when pole) of the tests'
-    series_oracle, which forms every order with _pmul.  It forms only the
-    product coefficients order k needs, each summed in _pmul's order; the
-    part of w*w that the probed coefficient does not enter is formed once
-    for all three probes, and the w-free U (U + 2 eps0) product once for
-    every call.  Terms _pmul adds from zero padding are +-0 and leave its
-    sums unchanged, so they are skipped.
+    Where U' has valuation v, U'^2 is known v orders further than U' is,
+    so S carries every order that U supports.  At a double zero of U on
+    Razavy's line 2 (eps0 - eps1) = 1, S starts at t^6 and every lower
+    order is roundoff (up to 8.8e-13 at t^1 and 7.9e-11 at t^5 against
+    1.1e5 at t^6 on (3.0, 2.5)), so the trim looks eight orders ahead: four
+    would read valuation 1.
     """
-    n = max(len(u), N_TERMS)
-    u = _pad(u, n)
-    um = list(u)
-    um[0] -= 2.0 * eps1
-    up = list(u)
-    up[0] += 2.0 * eps0
-    if pole:
-        lin = [k * u[k] for k in range(n)]
-        free = [0.0, 0.0] + _pmul(u, up, n)[: n - 2]
-    else:
-        lin = _pad([(k + 1) * u[k + 1] for k in range(n - 1)], n)
-        free = _pmul(u, up, n)
-
-    def fn(wc, k):
-        p = len(wc)
-        head = []  # (w * w)[j] for j < p, free of the probed w[p]
-        for j in range(min(k + 1, p)):
-            acc = 0.0
-            for i in range(j + 1):
-                wi = wc[i]
-                if wi != 0.0:
-                    acc += wi * wc[j - i]
-            head.append(acc)
-        out = []
-        for probe in PROBES:
-            w = wc + [probe]
-            ww = list(head)
-            for j in range(p, k + 1):
-                acc = 0.0
-                for i in range(j - p, p + 1):
-                    wi = w[i]
-                    if wi != 0.0:
-                        acc += wi * w[j - i]
-                ww.append(acc)
-            quad = 0.0
-            for i in range(k + 1):
-                if um[i] != 0.0:
-                    quad += um[i] * ww[k - i]
-            linear = 0.0
-            for i in range(k - p if k > p else 0, k + 1):
-                if lin[i] != 0.0:
-                    linear += lin[i] * w[k - i]
-            out.append((quad + linear) - free[k])
-        return out
-
-    return fn
+    v = du.valuation
+    # zeros for the cut roundoff, and v more on top that only ever meet those
+    up = jets.Jet(u.x0, (0.0,) * v + du.coeffs + (0.0,) * v)
+    return _trimmed(stable_discriminant(u, up, eps0, eps1), window=8)
 
 
-def _solve_tree(res_fn, n_coeffs, max_order, tol, wc=(), floor=0):
-    """All formal series branches, coefficient by coefficient.
+def taylor_branches(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 4):
+    """Every series branch of the quadratic at x0 (U given as Taylor coeffs),
+    one per sign of the square root, or [] where S has no real square root
+    (an odd valuation or a negative leading coefficient).
 
-    res_fn(wc, k) is order k of the residual of wc extended by each of
-    the probes w = 0, +1, -1 (see _order_residual); only the order under
-    test is ever computed.  At each step the next coefficient enters some
-    residual order as a quadratic a*w^2 + b*w + g recovered from those
-    three evaluations.
-    Vacuous orders (a, b, g all negligible) are skipped; a genuinely
-    non-negligible g with no w dependence kills the branch; a quadratic with
-    two distinct real roots forks it.  Branches whose next coefficient is not
-    constrained by any trustworthy order are returned truncated.
+    Where S has valuation 2m, sqrt(S) = t^m sqrt(S / t^2m), the latter an
+    ordinary jet square root.  Each branch is then one division, in the
+    form whose denominator does not cancel: the product form
+    2 U (U + 2 eps0) / (U' +- sqrt(S)), or the root form
+    (-U' +- sqrt(S)) / (2 (U - 2 eps1)) where U' and +-sqrt(S) lead with
+    the same order and opposite signs.  At an upper strip edge, where
+    U = 2 eps1, that root form is the pole branch with residue -1.
 
-    The tree grows from the prefix wc, whose next coefficient is sought
-    from residual order floor on.  It returns (coefficients, resume) pairs:
-    resume is max_order + 1 for a branch truncated because the orders ran
-    out, so a solve with a higher max_order continues it from there (the
-    orders it read are all vacuous, and a deeper solve reads them alike);
-    it is None for a complete branch and for one truncated at the
-    precision floor below, which a deeper solve also truncates there.
-
-    High residual orders of a branch with growing coefficients carry values
-    far above the nominal tolerance; roundoff in them would read as a fake
-    quadratic term and kill the branch, so every negligibility decision is
-    also floored relative to the magnitudes actually evaluated at the order.
+    A branch carries at most n_coeffs coefficients from its valuation on,
+    and only the orders its input supports: U' has one order fewer than U,
+    and sqrt(S) m fewer again.
     """
+    u = jets.Jet(x0, tuple(float(c) for c in u))
+    du = jets.differentiate(u)
+    lead = _trimmed(du)
+    s = _discriminant(u, lead, eps0, eps1)
+    m, odd = divmod(s.valuation, 2)
+    if odd or s.coeffs[0] <= 0.0:
+        return []
+    sqrt_s = jets.Jet(x0, (0.0,) * m + jets.sqrt(jets.Jet(x0, s.coeffs)).coeffs)
     out = []
-
-    def extend(wc, floor):
-        if len(wc) == n_coeffs:
-            out.append((tuple(wc), None))
-            return
-        for order in range(floor, max_order + 1):
-            g, rp, rm = res_fn(wc, order)
-            # w_p^2 first enters order 2p: below it any quadratic term is roundoff
-            a = 0.0 if 2 * len(wc) > order else 0.5 * (rp + rm) - g
-            b = 0.5 * (rp - rm)
-            gmax = max(abs(g), abs(rp), abs(rm))
-            eff = max(tol, 1e-12 * gmax)
-            if abs(a) <= eff and abs(b) <= eff:
-                if abs(g) <= eff:
-                    continue
-                # b's roundoff floor is eps * gmax, far below eff once the
-                # coefficients grow; a linear term alive at that scale still
-                # absorbs g, and any error it carries is invisible at
-                # evaluation radii (the term is damped by (t/R)^order)
-                eff2 = max(tol, 1e-14 * gmax)
-                if abs(b) > eff2:
-                    extend(wc + [-g / b], order + 1)
-                    return
-                if 1e-12 * gmax > tol:
-                    # residuals have outrun double precision: the prefix is
-                    # all the information there is, so truncate, don't kill
-                    out.append((tuple(wc), None))
-                return
-            if abs(a) <= eff:
-                extend(wc + [-g / b], order + 1)
-                return
-            disc = b * b - 4.0 * a * g
-            # root-separation scale: a residual of size eff moves a double
-            # root by sqrt(eff/|a|), i.e. disc by ~4|a|eff
-            thresh = 4.0 * abs(a) * eff
-            if disc < -thresh:
-                return
-            if disc < thresh:
-                extend(wc + [-b / (2.0 * a)], order + 1)
-                return
-            rd = math.sqrt(disc)
-            extend(wc + [(-b + rd) / (2.0 * a)], order + 1)
-            extend(wc + [(-b - rd) / (2.0 * a)], order + 1)
-            return
-        out.append((tuple(wc), max_order + 1))
-
-    extend(list(wc), floor)
-    return _dedup(out, key=lambda pair: pair[0])
-
-
-def _dedup(cands, key=lambda c: c):
-    """cands in order, less each one whose key lies within 1e-7 of an earlier kept one's."""
-    kept = []
-    for c in cands:
-        a = key(c)
-        if not any(
-            len(b) == len(a) and all(abs(p - q) <= 1e-7 * (1.0 + abs(p) + abs(q)) for p, q in zip(b, a))
-            for b in map(key, kept)
-        ):
-            kept.append(c)
-    return kept
-
-
-def _residual_scale(u, eps0, eps1):
-    m = max(max(abs(c) for c in u), 2.0 * eps0, 2.0 * eps1, 1.0)
-    return m * m
-
-
-def taylor_branches(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 4, rtol: float = 1e-9):
-    """Regular series branches of the quadratic at x0 (U given as Taylor coeffs).
-
-    Residual orders involving a derivative of U beyond the input are not
-    used: the top order is trusted only when the leading series coefficient
-    vanishes, which covers the degenerate double-zero case that needs it.
-    So the solve stops one order short, and a truncated branch whose
-    leading coefficient vanishes resumes from where it stopped, into the
-    top order; no residual order of a prefix is evaluated twice.
-    """
-    m = max(len(u), N_TERMS)
-    tol = rtol * _residual_scale(u, eps0, eps1)
-    fn = _order_residual(u, eps0, eps1, pole=False)
-    refined = []
-    for c, resume in _solve_tree(fn, n_coeffs, m - 2, tol):
-        if resume is not None and abs(c[0]) <= tol:
-            refined.extend(d for d, _ in _solve_tree(fn, n_coeffs, m - 1, tol, c, resume))
+    for sign in (+1, -1):
+        if lead.valuation == m and sign * lead.coeffs[0] < 0.0:
+            num, den = sign * sqrt_s - du, 2.0 * (u - 2.0 * eps1)
         else:
-            refined.append(c)
-    return [LaurentPoly(x0, 0, c) for c in _dedup(refined)]
-
-
-def pole_branches(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 5, rtol: float = 1e-9):
-    """Simple-pole branches (residue -1) of the quadratic at x0."""
-    m = max(len(u), N_TERMS)
-    tol = rtol * _residual_scale(u, eps0, eps1)
-    fn = _order_residual(u, eps0, eps1, pole=True)
-    out = []
-    for c, _ in _solve_tree(fn, n_coeffs, m - 1, tol):
-        if c and abs(c[0] + 1.0) <= 1e-7:
-            out.append(LaurentPoly(x0, -1, c))
+            num, den = 2.0 * u * (u + 2.0 * eps0), du + sign * sqrt_s
+        # leading orders that cancelled to roundoff would become spurious
+        # pole terms or a zero divisor
+        a, b = _trimmed(num), _trimmed(den)
+        q = jets.Jet(x0, a.coeffs) / jets.Jet(x0, b.coeffs)
+        out.append(LaurentPoly(x0, a.valuation - b.valuation, q.coeffs[:n_coeffs]))
     return out

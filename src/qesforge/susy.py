@@ -62,7 +62,7 @@ BATCH_MIN = 12  # state batches below this many points run on Python floats
 KERNELS_PER_KEY = 4
 
 # Length of the high-order local Taylor data for U (one jet per patch) and
-# of the series branches solved from it.
+# of the series branches formed from it.
 U_TAYLOR_TERMS = 18
 LOCAL_COEFFS = 16
 # Where S has a high-order zero the direct evaluator inherits catastrophic
@@ -417,13 +417,7 @@ class ConstructedSystem:
         e0, e1 = self.pair.eps0, self.pair.eps1
         for patch in self.patches:
             uc = self.u.jet(patch.x, U_TAYLOR_TERMS).coeffs
-            candidates = list(
-                local_series.taylor_branches(patch.x, uc, e0, e1, n_coeffs=LOCAL_COEFFS)
-            )
-            if patch.kind == KIND_UPPER_EDGE:
-                candidates += list(
-                    local_series.pole_branches(patch.x, uc, e0, e1, n_coeffs=LOCAL_COEFFS)
-                )
+            candidates = local_series.taylor_branches(patch.x, uc, e0, e1, n_coeffs=LOCAL_COEFFS)
             if not candidates:
                 raise PatchFailureError(patch.x, "no local branch solves the quadratic")
             u_loc = local_series.LaurentPoly(patch.x, 0, uc)

@@ -1,15 +1,14 @@
-"""Full-residual and two-solve references for ``qesforge.local_series``.
+"""Full-residual references for ``qesforge.local_series``.
 
-The solver forms one residual order at a time (``_order_residual``) and
-continues each truncated branch from where its first solve stopped.  This
-module keeps the plain forms the tests check those against: the
-discriminant series, the full residual of a candidate series, its largest
-trustworthy residual coefficient, and ``taylor_branches`` as two complete
-solves whose deeper one re-runs the tree from the root.
+The package finds its branches in closed form, from a square root of the
+discriminant.  This module checks them against the quadratic itself: the
+discriminant series, the full residual of a candidate series, and its
+largest trustworthy residual coefficient, all from truncated products.
 """
 
-from qesforge import local_series
-from qesforge.local_series import N_TERMS, LaurentPoly, _pad, _pmul
+from qesforge.local_series import LaurentPoly, _pad, _pmul
+
+N_TERMS = 7  # the shortest U input the residuals are formed over
 
 
 def _padd(a, b, n=N_TERMS):
@@ -74,9 +73,10 @@ def residual_pole(u, eps0, eps1, p):
 def residual_norm(x0: float, w: LaurentPoly, u, eps0: float, eps1: float) -> float:
     """Max residual coefficient of a candidate series, for diagnostics."""
     m = max(len(u), N_TERMS)
-    if w.valuation == 0:
-        r = residual_taylor(u, eps0, eps1, list(w.coeffs))
-        top = m - 1 if abs(w.coeffs[0]) < 1e-12 else m - 2
+    if w.valuation >= 0:
+        wc = [0.0] * w.valuation + list(w.coeffs)
+        r = residual_taylor(u, eps0, eps1, wc)
+        top = m - 1 if abs(wc[0]) < 1e-12 else m - 2
     elif w.valuation == -1:
         r = residual_pole(u, eps0, eps1, list(w.coeffs))
         top = m - 1
@@ -84,22 +84,3 @@ def residual_norm(x0: float, w: LaurentPoly, u, eps0: float, eps1: float) -> flo
         raise ValueError("unsupported valuation")
     return max(abs(c) for c in r[: top + 1])
 
-
-def taylor_branches_two_solves(x0: float, u, eps0: float, eps1: float, n_coeffs: int = 4, rtol: float = 1e-9):
-    """local_series.taylor_branches with its deeper solve run from the root:
-    the whole tree to order m - 1 again for each truncated candidate whose
-    leading coefficient vanishes, keeping the branches with its prefix."""
-    m = max(len(u), N_TERMS)
-    tol = rtol * local_series._residual_scale(u, eps0, eps1)
-    fn = local_series._order_residual(u, eps0, eps1, pole=False)
-
-    def solve(max_order):
-        return [c for c, _ in local_series._solve_tree(fn, n_coeffs, max_order, tol)]
-
-    refined = []
-    for c in solve(m - 2):
-        if len(c) < n_coeffs and abs(c[0]) <= tol:
-            refined.extend(d for d in solve(m - 1) if d[: len(c)] == c)
-        else:
-            refined.append(c)
-    return [LaurentPoly(x0, 0, c) for c in local_series._dedup(refined)]

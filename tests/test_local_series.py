@@ -1,13 +1,12 @@
 import math
-import random
 
 import numpy as np
 import pytest
 
-from qesforge import local_series
-from qesforge.local_series import LaurentPoly, pole_branches, taylor, taylor_branches
-import series_oracle
-from series_oracle import discriminant_poly, residual_norm, residual_pole, residual_taylor
+from qesforge import jets, local_series, susy
+from qesforge.errors import QuadratureNonconvergenceError
+from qesforge.local_series import LaurentPoly, taylor, taylor_branches
+from series_oracle import discriminant_poly, residual_norm
 
 # U = 2 sin(x)^2 with (eps0, eps1) = (1, 0.5); closed-form Taylor data below.
 EPS0 = 1.0
@@ -181,30 +180,44 @@ def test_generic_point_two_branches():
     assert vals[1] == pytest.approx(max(branch_roots(x0)), rel=1e-10)
 
 
+def upper_edge_branches(x0=0.25 * math.pi, u=None):
+    """The finite and the pole branch of the one call at an upper edge
+    (U = 2 eps1), at pi/4 unless U's Taylor data is given."""
+    branches = taylor_branches(x0, sin2_taylor(x0, 9) if u is None else u, EPS0, EPS1)
+    assert sorted(b.valuation for b in branches) == [-1, 0]
+    return sorted(branches, key=lambda b: -b.valuation)
+
+
 def test_finite_branch_value_where_leading_coefficient_vanishes():
     # at U = 2 eps1 the quadratic drops to linear: w = U (U + 2 eps0) / U'
     # = 2 eps1 (2 eps1 + 2 eps0) / U'; here U' = 2, so w = 1.5
-    x0 = 0.25 * math.pi
-    branches = taylor_branches(x0, sin2_taylor(x0, 9), EPS0, EPS1)
-    assert len(branches) == 1
-    assert branches[0](x0) == pytest.approx(1.5, rel=1e-10)
+    finite, _ = upper_edge_branches()
+    assert finite(finite.x0) == pytest.approx(1.5, rel=1e-10)
 
 
 def test_pole_branch_residue_is_minus_one():
-    x0 = 0.25 * math.pi
-    poles = pole_branches(x0, sin2_taylor(x0, 9), EPS0, EPS1)
-    assert len(poles) == 1
-    p = poles[0]
-    assert p.valuation == -1
-    assert p.residue() == pytest.approx(-1.0, abs=1e-9)
+    _, pole = upper_edge_branches()
+    assert pole.valuation == -1
+    assert pole.residue() == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_pole_branch_tracks_divergent_root():
-    x0 = 0.25 * math.pi
-    p = pole_branches(x0, sin2_taylor(x0, 9), EPS0, EPS1)[0]
+    _, p = upper_edge_branches()
+    x0 = p.x0
     for t in (-0.03, 0.02, 0.04):
         roots = branch_roots(x0 + t)
         assert min(abs(p(x0 + t) - r) for r in roots) < 1e-5 / abs(t)
+
+
+def test_pole_branch_at_a_steep_upper_edge():
+    # U = 2 eps1 + t/10 + 1000 t^2: the product form's denominator
+    # U' - sqrt(S) cancels at t^0, and its t^1 term (-6) sits below the
+    # structural trim of a series whose coefficients grow 1e4 per order;
+    # the root form divides by U - 2 eps1 itself
+    u = [2.0 * EPS1, 0.1, 1000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    finite, pole = upper_edge_branches(0.0, u)
+    assert finite.coeffs[0] == pytest.approx(2.0 * EPS1 * (2.0 * EPS1 + 2.0 * EPS0) / 0.1, rel=1e-12)
+    assert pole.residue() == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_vanishing_branch_slope_at_simple_zero():
@@ -300,25 +313,7 @@ def test_longer_input_extends_trustworthy_orders():
         assert match_error(b, branch_roots, probes) < 1e-7
 
 
-@pytest.mark.parametrize("pole", [False, True])
-def test_order_residual_matches_full_residual(pole):
-    # the solver's one-order residual at each probe is the full residual's
-    # entry, bit for bit
-    full = residual_pole if pole else residual_taylor
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.choice((7, 12, 18))
-        u = [rng.uniform(-3.0, 3.0) if rng.random() > 0.2 else 0.0 for _ in range(n)]
-        eps0, eps1 = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
-        wc = [rng.uniform(-5.0, 5.0) if rng.random() > 0.2 else 0.0 for _ in range(rng.randint(0, 15))]
-        fn = local_series._order_residual(u, eps0, eps1, pole)
-        for k in range(n):
-            got = fn(wc, k)
-            for probe, value in zip(local_series.PROBES, got):
-                assert value.hex() == full(u, eps0, eps1, wc + [probe])[k].hex()
-
-
-# ------------------------------------------------- the solve on real patches
+# --------------------------------------------------- branches on real patches
 
 DETUNED = "4*eps0*eps1*sin(x)^2*((1-{a})+{a}*cos(2*x))"
 # every family member that builds and assembles (the 12 of the benchmark
@@ -333,68 +328,90 @@ PATCH_MEMBERS = [
 
 
 @pytest.fixture(scope="module")
-def patch_solves():
-    """One dict per taylor_branches call the construction of PATCH_MEMBERS
-    makes: the member, the call's args and kwargs, the branches it returned
-    and the (prefix, order) of each residual order its solves read."""
-    from qesforge import susy
-
-    calls = []
-    solve, order_residual = local_series.taylor_branches, local_series._order_residual
-
-    def counted(u, eps0, eps1, pole):
-        fn = order_residual(u, eps0, eps1, pole)
-        if pole:  # pole_branches' own solve
-            return fn
-
-        def reading(wc, k):
-            calls[-1]["reads"].append((tuple(wc), k))
-            return fn(wc, k)
-
-        return reading
-
-    def recorded(*args, **kwargs):
-        calls.append({"member": member, "args": args, "kwargs": kwargs, "reads": []})
-        calls[-1]["got"] = solve(*args, **kwargs)
-        return calls[-1]["got"]
-
-    mp = pytest.MonkeyPatch()
-    mp.setattr(local_series, "taylor_branches", recorded)
-    mp.setattr(local_series, "_order_residual", counted)
-    try:
-        for member in PATCH_MEMBERS:
-            a, e0, e1 = member
-            susy.construct(DETUNED.format(a=a), e0, e1, 2.0 * math.pi)
-    finally:
-        mp.undo()
-    return calls
+def patch_systems():
+    """Each member of PATCH_MEMBERS, constructed."""
+    return {
+        member: susy.construct(DETUNED.format(a=member[0]), member[1], member[2], 2.0 * math.pi)
+        for member in PATCH_MEMBERS
+    }
 
 
-def _series_bits(branches):
-    return [(b.x0.hex(), b.valuation, [c.hex() for c in b.coeffs]) for b in branches]
+def window_residual(patch, w, u, eps0, eps1):
+    """residual_norm of the branch w in the variable s = t / r, with r the
+    patch's evaluation radius, so that residual order k weighs r^k.  The
+    quadratic is homogeneous: U and the spacings scale by r^2, W by r."""
+    r = patch.eval_halfwidth
+    us = [c * r ** (k + 2) for k, c in enumerate(u)]
+    ws = tuple(c * r ** (w.valuation + j + 1) for j, c in enumerate(w.coeffs))
+    return residual_norm(0.0, LaurentPoly(0.0, w.valuation, ws), us, eps0 * r * r, eps1 * r * r)
 
 
-def test_resumed_solve_matches_two_solves(patch_solves):
-    # the deeper solve continues each truncated candidate where the first
-    # one stopped; re-running the whole tree must give the same bits
-    assert {c["member"] for c in patch_solves} == set(PATCH_MEMBERS)
-    for c in patch_solves:
-        want = series_oracle.taylor_branches_two_solves(*c["args"], **c["kwargs"])
-        assert _series_bits(c["got"]) == _series_bits(want), (c["member"], c["args"][0])
-    # Razavy (3.2, 2.5)'s double zeros each give the same two branches,
-    # w2 = +-4.05: at coefficient 15 the refinement solve reads order 17,
-    # which w15^2 cannot enter, so no roundoff quadratic term forks one
-    # branch or kills the other
-    razavy = {round(c["args"][0], 6): c["got"] for c in patch_solves if c["member"] == (0.0, 3.2, 2.5)}
-    for x in (0.0, round(math.pi, 6)):
-        assert sorted(b.coeffs[2] for b in razavy[x]) == pytest.approx([-4.05, 4.05], abs=5e-3)
+def test_chosen_branches_solve_the_quadratic(patch_systems):
+    for (a, eps0, eps1), system in patch_systems.items():
+        for patch in system.patches:
+            # U's top order enters only orders beyond those a branch carries
+            u = system.u.jet(patch.x, susy.U_TAYLOR_TERMS - 1).coeffs
+            for key, local in patch.branches.items():
+                if not isinstance(local, str):
+                    got = window_residual(patch, local.wp, u, eps0, eps1)
+                    assert got < 1e-16, ((a, eps0, eps1), patch.kind, key, got)
 
 
-def test_solve_reads_each_residual_order_once(patch_solves):
-    resumed = 0
-    for c in patch_solves:
-        reads = c["reads"]
-        assert len(reads) == len(set(reads)), (c["member"], c["args"][0])
-        # the deeper solve reads the top order, one below the input's length
-        resumed += max(k for _, k in reads) == len(c["args"][1]) - 1
-    assert resumed > 0
+def test_razavy_double_zero_branches_and_failed_assembly(patch_systems):
+    # Razavy (3.2, 2.5) builds, but its tables never converge; its double
+    # zeros each give the two branches w2 = +-4.05
+    system = patch_systems[(0.0, 3.2, 2.5)]
+    doubles = [p for p in system.patches if p.kind == susy.KIND_DOUBLE_ZERO]
+    assert len(doubles) == 2
+    for patch in doubles:
+        w2 = sorted({local.wp.coeff(2) for local in patch.branches.values()})
+        assert w2 == pytest.approx([-4.05, 4.05], abs=5e-3)
+    with pytest.raises(QuadratureNonconvergenceError):
+        system.wavefunctions_minus(np.array([1.0]))
+
+
+@pytest.mark.parametrize("member", [(0.0, 3.0, 2.5), (0.0, 1.0, 0.5)])
+def test_discriminant_valuation_at_a_smooth_double_zero(patch_systems, member):
+    # on Razavy's line 2 (eps0 - eps1) = 1, S vanishes to order 6 at pi, and
+    # its lower orders are roundoff up to 1e-10 (at t^5 on (3.0, 2.5)): a
+    # trim that looked only four orders ahead would read an odd valuation
+    system = patch_systems[member]
+    psi = system.wavefunctions_minus(np.array([1.0, 3.0]))
+    assert np.all(np.isfinite(psi))
+    (patch,) = [p for p in system.patches if abs(p.x - math.pi) < 1e-9]
+    u = system.u.jet(patch.x, susy.U_TAYLOR_TERMS)
+    du = local_series._trimmed(jets.differentiate(u))
+    assert local_series._discriminant(u, du, member[1], member[2]).valuation == 6
+
+
+def test_no_branch_where_discriminant_has_odd_valuation():
+    # U = 1/2 - sqrt(5/2) t puts S's zero at t = 0, with S = sqrt(5/2) t + ...:
+    # real roots on t > 0 only, and no series through the point
+    u = [0.5, -math.sqrt(2.5), 0.0, 0.0, 0.0, 0.0, 0.0]
+    s = discriminant_poly(u, EPS0, EPS1)
+    assert abs(s[0]) < 1e-14 and s[1] == pytest.approx(math.sqrt(2.5), rel=1e-12)
+    assert taylor_branches(0.0, u, EPS0, EPS1) == []
+
+
+def razavy_w_plus(x, sign, eps0, eps1):
+    """W+ of Razavy's U = c sin^2 x, c = 4 eps0 eps1, in the stable form for
+    the sign, from the factored S = 4 c^2 sin^4 x (B^2 + c sin^2 x) with
+    B^2 = 2 (eps0 - eps1) - 1: its square root has no cancellation."""
+    c = 4.0 * eps0 * eps1
+    s2 = math.sin(x) ** 2
+    u, up = c * s2, c * math.sin(2.0 * x)
+    sqrt_s = 2.0 * c * s2 * math.sqrt(2.0 * (eps0 - eps1) - 1.0 + c * s2)
+    if sign * up >= 0.0:
+        return 2.0 * u * (u + 2.0 * eps0) / (up + sign * sqrt_s)
+    return (-up + sign * sqrt_s) / (2.0 * (u - 2.0 * eps1))
+
+
+@pytest.mark.parametrize("member", [(0.0, 1.0, 0.5), (0.0, 3.2, 0.5), (0.0, 5.0, 0.5), (0.0, 5.0, 2.5)])
+def test_w_plus_inside_the_windows_matches_the_factored_discriminant(patch_systems, member):
+    system = patch_systems[member]
+    for patch in system.patches:
+        h = patch.eval_halfwidth
+        for x in (patch.x + np.linspace(-h, h, 40)).tolist():
+            want = razavy_w_plus(x, system.branch_map.sign_at(x), member[1], member[2])
+            got = system.w_plus(x).value
+            assert abs(got - want) <= 2e-12 * max(1.0, abs(want)), (member, patch.kind, x)
