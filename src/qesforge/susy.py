@@ -7,6 +7,9 @@ chain W0, W1, W2, the partner potentials, and the three lower / two upper
 eigenfunctions.  Evaluation is jet based away from the structural points of
 U and switches to matched local series inside narrow windows around them;
 the seam between the two representations is verified at construction time.
+One point locator, built with the system, tells every evaluator which window,
+side and branch sign a point takes; batches read the series from one table
+per chain member and the integrals in one Clenshaw pass across segments.
 
 The chain formulas (W~+ = U/W+, W0 and W1 from W+, W2 from W~+, and the
 excited-state factors g and h) live in ``_chain`` alone, which works on any
@@ -106,16 +109,9 @@ class BranchMap:
     breakpoints: tuple
     signs: tuple
 
-    def sign_at(self, x):
-        """Sign at x, or per point for an array of points."""
-        if isinstance(x, np.ndarray):
-            i = np.searchsorted(self.breakpoints, np.remainder(x, self.period), side="right") - 1
-            return np.asarray(self.signs)[i]  # i = -1 is the last arc, as below
-        xr = x % self.period
-        i = bisect_right(self.breakpoints, xr) - 1
-        if i < 0:
-            i = len(self.signs) - 1
-        return self.signs[i]
+    def sign_at(self, x: float) -> int:
+        """Sign at x (index -1 is the last arc); the system's locator tabulates it."""
+        return self.signs[bisect_right(self.breakpoints, x % self.period) - 1]
 
 
 class _Chain(NamedTuple):
@@ -128,6 +124,13 @@ class _Chain(NamedTuple):
     w2: object
     g: object
     h: object
+
+
+class _Series(NamedTuple):  # a chain member's window series: row 2j is patch j's right side, 2j + 1 its left
+    polys: list  # per row its LaurentPoly in the offset, or why its pole cannot cancel
+    valuation: np.ndarray
+    coef: np.ndarray  # (terms, rows): a row's coefficients, zero-padded at the high end
+    bad: np.ndarray  # rows whose pole cannot cancel
 
 
 # The stage at which the chain computes each member (a stage runs after every
@@ -171,7 +174,7 @@ class _Patch:
         self.x = x
         self.kind = kind
         self.branches = {}  # (side, sign) -> _Chain of LaurentPoly, or why its pole cannot cancel
-        self.w0_series = {}  # (side, sign) -> W0's trimmed series in the offset, and its slope
+        self.side_signs = {}  # side -> the sign map's branch half a window out on that side
         self.vplus_pole = False
         self.eval_halfwidth = 0.0
 
@@ -232,10 +235,12 @@ class ConstructedSystem:
         self._classify_points()
         self._match_patches()
         self._build_branch_map()
+        self._build_locator()
         self._register_poles()
         self._verify_oddness()
         self._assembly = None
         self._kernels = {}  # (sign, U order) -> W0 kernels from jets.trace, see _scalar_potentials
+        self._series_tables = {}  # (member, variant, sign) -> _Series, see _series
 
     # ------------------------------------------------------------------
     # construction phases
@@ -469,13 +474,62 @@ class ConstructedSystem:
                             patch.x, "branch type changes across a point that is not a breakpoint"
                         )
 
-    def _side_sign(self, patch: _Patch, side: int) -> int:
-        """The sign-map branch on one side of a patch, half a window out."""
-        return self.branch_map.sign_at(patch.x + side * 0.5 * self.patch_halfwidth)
+    def _build_locator(self):
+        """One sorted table of interval starts over [0, L] for every lookup of
+        a reduced point xr: the left one of its two neighbouring patches holds
+        it when |t| <= eval_halfwidth, t = xr - p.x wrapped by L*round(t/L),
+        else the right one, else the arc of its branch sign.  Between two
+        patch points the left window is a run of floats from the start and the
+        right one a run to the end, so a search of the float bit patterns finds
+        each edge exactly.  A NaN sorts past every start, onto the last arc."""
+        L, ps, xs, bm = self.period, self.patches, self._patch_xs, self.branch_map
+        for p in ps:
+            p.side_signs = {s: bm.sign_at(p.x + s * 0.5 * self.patch_halfwidth) for s in (+1, -1)}
+
+        def wrapped(p, x):
+            t = x - p.x
+            return t - L * round(t / L)
+
+        def first(pred, lo, hi, guess):  # the first float of [lo, hi) where pred holds (on a suffix), else hi
+            a, b, k = np.array([lo, hi, min(max(guess, lo), hi)]).view(np.int64).tolist()
+            probes = iter((0, -1, 1, -16, 16, -4096, 4096))  # out from the guess, then bisection
+            while a < b:
+                mid = next(probes, (a - k + b - k) // 2) + k
+                if a <= mid < b:
+                    a, b = (a, mid) if pred(float(np.int64(mid).view(np.float64))) else (mid + 1, b)
+            return float(np.int64(a).view(np.float64))
+
+        cells = []  # (start, patch index or -1, side, sign)
+        bounds = [0.0] + xs + [L, math.nextafter(L, math.inf)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            i = bisect_right(xs, lo)
+            (left, pl), (right, pr) = ((j % len(ps), ps[j % len(ps)]) for j in (i - 1, i))
+            e1 = first(lambda x: abs(wrapped(pl, x)) > pl.eval_halfwidth, lo, hi, (pl.x + pl.eval_halfwidth) % L)
+            e2 = first(lambda x: abs(wrapped(pr, x)) <= pr.eval_halfwidth, e1, hi, (pr.x - pr.eval_halfwidth) % L)
+            for start, end, j in ((lo, e1, left), (e1, e2, -1), (e2, hi, right)):
+                side = 0 if j < 0 else 1 if wrapped(ps[j], start) >= 0.0 else -1
+                if start < end:
+                    cells.append((float(start), j, side, ps[j].side_signs[side] if side else bm.sign_at(start)))
+        cells.append((bounds[-1], -1, 0, bm.signs[-1]))
+        self._starts, *cols = (list(c) for c in zip(*cells))
+        self._cells = list(zip(*cols))
+        self._columns = [np.array(c) for c in [self._starts, *cols, xs]]
+
+    def _locate(self, xr):
+        """(patch index or -1, side, sign, offset from the patch) of a point in
+        [0, L] from one bisect; for an array, arrays from one searchsorted."""
+        if isinstance(xr, np.ndarray):
+            starts, where, side, sign, px = self._columns
+            k = np.searchsorted(starts, xr, side="right") - 1
+            t = xr - px[where[k]]
+            return where[k], side[k], sign[k], t - self.period * np.round(t / self.period)
+        j, side, sign = self._cells[bisect_right(self._starts, xr) - 1]
+        t = xr - self._patch_xs[j] if j >= 0 else 0.0
+        return j, side, sign, t - self.period * round(t / self.period)
 
     def _active_local(self, patch: _Patch, side: int, sign: int | None = None) -> _Chain:
         """Local chain on one side of a patch, on the sign-map branch unless overridden."""
-        return patch.local(side, self._side_sign(patch, side) if sign is None else sign)
+        return patch.local(side, patch.side_signs[side] if sign is None else sign)
 
     def _register_poles(self):
         """Pole locations and residues of each chain member under the sign map.
@@ -525,9 +579,9 @@ class ConstructedSystem:
         """
         L, xm = self.period, self.midpoint
         t = np.linspace(0.0, 0.5 * L, 514)[1:-1]
-        t = t[(self._near_patches(xm + t)[0] < 0) & (self._near_patches(xm - t)[0] < 0)]
+        t = t[(self._locate(xm + t)[0] < 0) & (self._locate(xm - t)[0] < 0)]
         x = np.column_stack((xm + t, xm - t)).ravel()
-        w = self._w_direct(self.u.jet(x, _U_TERMS["wp"]), self.branch_map.sign_at(x)).value if x.size else x
+        w = self._w_direct(self.u.jet(x, _U_TERMS["wp"]), self._locate(x)[2]).value if x.size else x
         wa, wb = w[0::2], w[1::2]
         keep = ~((np.abs(wa) > 1e3) | (np.abs(wb) > 1e3))
         if not keep.any():
@@ -544,38 +598,6 @@ class ConstructedSystem:
     # ------------------------------------------------------------------
     # W evaluators
     # ------------------------------------------------------------------
-
-    def _near_patch(self, x: float):
-        """(patch, signed offset) if x lies inside a patch's series region,
-        else (None, 0.0).  The region is the wide evaluation window, not the
-        nominal patch window."""
-        xr = _reduce(x, self.period)
-        i = bisect_right(self._patch_xs, xr)
-        for j in (i - 1, i % len(self.patches)):
-            p = self.patches[j]
-            t = xr - p.x
-            t -= self.period * round(t / self.period)
-            if abs(t) <= p.eval_halfwidth:
-                return p, t
-        return None, 0.0
-
-    def _near_patches(self, xr: np.ndarray):
-        """_near_patch for an array of points already reduced to [0, L):
-        the index into self.patches of each point's window (-1 for none)
-        and its signed offset, by the same two-neighbour rule."""
-        n = len(self.patches)
-        where = np.full(xr.shape, -1)
-        offset = np.zeros(xr.shape)
-        px = np.array(self._patch_xs)
-        half = np.array([p.eval_halfwidth for p in self.patches])
-        i = np.searchsorted(px, xr, side="right")
-        for j in ((i - 1) % n, i % n):
-            t = xr - px[j]
-            t = t - self.period * np.round(t / self.period)
-            hit = (where < 0) & (np.abs(t) <= half[j])
-            where[hit] = j[hit]
-            offset[hit] = t[hit]
-        return where, offset
 
     def _w_direct(self, u: jets.Jet, sign) -> jets.Jet:
         """Stable-form W+ on the given branch, from the jet of U at a point
@@ -628,12 +650,10 @@ class ConstructedSystem:
         """Jet of the branch-resolved W+ at x (sign-map branch unless overridden)."""
         return self._members(x, ("wp",), sign)[0]
 
-    def _direct_members(self, xr, names, sign=None, n: int = jets.N_COEFF) -> list:
+    def _direct_members(self, xr, names, sign, n: int = jets.N_COEFF) -> list:
         """Jets of the named chain members from one jet of n coefficients of U
         at a reduced point outside the patch windows, or a batch (one sign per
         point), stopping the chain at the last member asked for."""
-        if sign is None:
-            sign = self.branch_map.sign_at(xr)
         u = self.u.jet(xr, n)
         stage = max(_STAGE[name] for name in names)
         got = _chain(self._w_direct(u, sign), u, self.pair, jets.differentiate, lambda j: j, stage)
@@ -643,10 +663,10 @@ class ConstructedSystem:
         """Jets of the named chain members at x; inside a patch window only
         their own local series are evaluated."""
         xr = _reduce(x, self.period)
-        patch, t = self._near_patch(xr)
-        if patch is None:
-            return self._direct_members(xr, names, sign)
-        loc = self._active_local(patch, +1 if t >= 0.0 else -1, sign)
+        j, side, s, t = self._locate(xr)
+        if j < 0:
+            return self._direct_members(xr, names, s if sign is None else sign)
+        loc = self._active_local(self.patches[j], side, sign)
         return [self._local_jet(getattr(loc, name), t, xr) for name in names]
 
     def chain(self, x: float, sign: int | None = None) -> _Chain:
@@ -666,26 +686,39 @@ class ConstructedSystem:
         """(V-, V+) at x, or per point of an array x.  An exact hit of a
         lower-strip-edge point whose active branch vanishes raises: V+ has
         a genuine pole there.  A scalar x off the windows runs a recorded
-        kernel where one applies (see _scalar_potentials)."""
+        kernel where one applies (see _scalar_potentials); inside them W0
+        and its slope come from the window-series tables."""
         n = _U_TERMS["w0"] + 1  # W0 and its slope
+        L = self.period
         if not isinstance(x, np.ndarray):
-            xr = _reduce(x, self.period)
-            patch, t = self._near_patch(xr)
-            if patch is None:
-                return self._scalar_potentials(xr, self.branch_map.sign_at(xr) if sign is None else sign, n)
-            if patch.vplus_pole and abs(t) < 1e-12 * self.period:
-                raise VplusPoleError(patch.x)
-            w0, slope = self._window_w0(patch, +1 if t >= 0.0 else -1, sign)
+            xr = _reduce(x, L)
+            j, side, s = self._cells[bisect_right(self._starts, xr) - 1]  # _locate's lookup, inlined
+            if j < 0:
+                return self._scalar_potentials(xr, s if sign is None else sign, n)
+            t = self._locate(xr)[3]
+            if self.patches[j].vplus_pole and abs(t) < 1e-12 * L:
+                raise VplusPoleError(self.patches[j].x)
+            w0, slope = (self._series("w0", v, sign).polys[2 * j + (side < 0)] for v in ("", "slope"))
+            if isinstance(w0, str):
+                raise UnremovablePoleError(self.patches[j].x, w0)
             return _partner_potentials(_series_at(w0, t), _series_at(slope, t))
-        xr = _reduce(x.ravel(), self.period)
-        window, offset = self._near_patches(xr)
-        direct = window < 0
+        xr = _reduce(x.ravel(), L)
+        where, side, s, t = self._locate(xr)
+        direct = where < 0
         out = np.empty((2, xr.size))
-        w0 = self._direct_members(xr[direct], ("w0",), sign, n)[0]
+        w0 = self._direct_members(xr[direct], ("w0",), s[direct] if sign is None else sign, n)[0]
         out[:, direct] = _partner_potentials(w0.value, w0.derivative(1))
-        for p in np.unique(window[~direct]).tolist():
-            idx = window == p
-            out[:, idx] = self._window_potentials(self.patches[p], offset[idx], sign)
+        if not direct.all():
+            j, t = where[~direct], t[~direct]
+            rows = 2 * j + (side[~direct] < 0)
+            w0, slope = self._series("w0", "", sign), self._series("w0", "slope", sign)
+            # the first error of a pass patch by patch: a V+ pole hit, then the right side, then the left
+            hit = np.array([p.vplus_pole for p in self.patches])[j] & (np.abs(t) < 1e-12 * L)
+            k = np.argmin(key := 4 * j + np.where(hit, 0, np.where(w0.bad[rows], 1 + rows % 2, 3)))
+            if key[k] % 4 < 3:
+                x0 = self.patches[j[k]].x
+                raise VplusPoleError(x0) if key[k] % 4 == 0 else UnremovablePoleError(x0, w0.polys[rows[k]])
+            out[:, ~direct] = _partner_potentials(self._sum(w0, rows, t), self._sum(slope, rows, t))
         return out[0].reshape(x.shape), out[1].reshape(x.shape)
 
     def _scalar_potentials(self, xr: float, sign: int, n: int):
@@ -711,30 +744,45 @@ class ConstructedSystem:
             kernels.append(jets.trace(partial(self._direct_members, names=("w0",), sign=sign, n=n), xr))
         return _partner_potentials(w0.value, w0.derivative(1))
 
-    def _window_potentials(self, patch: _Patch, t: np.ndarray, sign: int | None):
-        """(V-, V+) at the offsets t of points in one patch window, from the
-        value and slope of W0's local series on each side."""
-        if patch.vplus_pole and np.any(np.abs(t) < 1e-12 * self.period):
-            raise VplusPoleError(patch.x)
-        out = np.empty((2, t.size))
-        for side, on in ((+1, t >= 0.0), (-1, t < 0.0)):
-            if on.any():
-                w0, slope = self._window_w0(patch, side, sign)
-                out[:, on] = _partner_potentials(w0(t[on]), slope(t[on]))
-        return out
+    def _series(self, name: str, variant: str = "", sign: int | None = None) -> "_Series":
+        """One chain member's window-series table on the sign-map branch (or
+        one sign), built on first use: each (patch, side)'s trimmed series in
+        the offset; "regular" drops its negative powers, "slope" is W0'."""
+        key = (name, variant, sign)
+        if key not in self._series_tables:
+            polys = [p.branches[(s, sign or p.side_signs[s])] for p in self.patches for s in (+1, -1)]
+            for g, got in enumerate(polys):
+                if not isinstance(got, str):
+                    lp = getattr(got, name).structurally_trimmed(1e-12)
+                    lp = polys[g] = local_series.LaurentPoly(0.0, lp.valuation, lp.coeffs)
+                    if variant == "regular":
+                        polys[g] = lp.regular_part()
+                    elif variant == "slope":  # trimmed() drops the zero term a constant leaves
+                        polys[g] = lp.derivative().trimmed()
+            bad = np.array([isinstance(lp, str) for lp in polys])
+            lps = [local_series.LaurentPoly(0.0, 0, ()) if b else lp for lp, b in zip(polys, bad)]
+            width = max(len(lp.coeffs) for lp in lps)
+            coef = np.array([list(lp.coeffs) + [0.0] * (width - len(lp.coeffs)) for lp in lps]).T
+            self._series_tables[key] = _Series(polys, np.array([lp.valuation for lp in lps]), coef, bad)
+        return self._series_tables[key]
 
-    def _window_w0(self, patch: _Patch, side: int, sign: int | None):
-        """W0's local series on one side of a patch, in the offset from
-        patch.x, and its slope: trimmed once per (side, sign) and kept."""
-        if sign is None:
-            sign = self._side_sign(patch, side)
-        got = patch.w0_series.get((side, sign))
-        if got is None:
-            lp = self._active_local(patch, side, sign).w0.structurally_trimmed(1e-12)
-            w0 = local_series.LaurentPoly(0.0, lp.valuation, lp.coeffs)
-            # trimmed() drops the zero term a constant leaves in the slope
-            got = patch.w0_series[(side, sign)] = (w0, w0.derivative().trimmed())
-        return got
+    def _sum(self, table: "_Series", rows: np.ndarray, t: np.ndarray, shift=0) -> np.ndarray:
+        """Each point's table row at its offset t, valuation lowered by shift:
+        one Horner pass over the gathered rows, then t ** v per distinct v, a
+        scalar exponent as in LaurentPoly's call, so each point rounds as that
+        call does.  A row whose pole cannot cancel raises at its first point."""
+        bad = np.flatnonzero(table.bad[rows])
+        if bad.size:
+            raise UnremovablePoleError(self.patches[rows[bad[0]] // 2].x, table.polys[rows[bad[0]]])
+        acc = np.zeros(t.size)
+        for c in table.coef[::-1, rows]:
+            acc = acc * t + c
+        v = table.valuation[rows] - shift
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for val in set(v[v != 0].tolist()):
+                on = v == val
+                acc[on] *= t[on] ** float(val)
+        return acc
 
     # ------------------------------------------------------------------
     # wavefunctions
@@ -865,13 +913,13 @@ class _StateAssembly:
     Across the seam state(x + L) = sigma_i * state(x), sigma_i = (-1)^(sum of
     rho over a period): W_i is odd about xm, so its principal value over a
     period vanishes, and the factors are periodic.
-    A scalar x is a batch of one: phi is one Clenshaw pass per segment, the
-    factors one chain batch outside the windows, grouped local series inside.
+    A scalar x is a batch of one: the system's locator splits a batch, phi is
+    one Clenshaw pass across segments, and the factors are one chain batch
+    outside the windows and one pass over the window-series tables inside.
     Each table integrates the shortest prefix of its converged fit whose
     whole dropped tail passes the ladder's own test (Chebfun's chop once a
     series has converged; Aurentz & Trefethen, ACM TOMS 43(4), 2017), so it
-    is as long as its function needs; a segment's three rows are zero-padded
-    to the longest, and both Clenshaw loops read the same padded rows.
+    is as long as its function needs.
     """
 
     def __init__(self, system: ConstructedSystem):
@@ -894,7 +942,7 @@ class _StateAssembly:
         self.wrap = tuple(-1.0 if sum(r for _, r in system.poles[name]) % 2 else 1.0 for name in CHAIN_NAMES)
         self.seg_tables = [[] for _ in CHAIN_NAMES]
         self.seg_base = [[] for _ in CHAIN_NAMES]
-        self._segments = []  # per segment: domain map, bases, stacked coefficients
+        self._segments = []  # per segment: domain map, bases, coefficient rows as Python floats
         acc = [0.0 for _ in CHAIN_NAMES]
         for a, b in zip(self.seg_bounds[:-1], self.seg_bounds[1:]):
             # node count -> all three chains sampled at those nodes; each
@@ -926,65 +974,82 @@ class _StateAssembly:
                 self.seg_tables[i].append(Chebyshev(c, domain=[a, b]))
                 self.seg_base[i].append(acc[i] - at_a)
                 acc[i] += float(np.sum(c)) - at_a  # T_k(1) = 1
-            # the three tables zero-padded to one length (leading zeros change
-            # no bit of a Clenshaw sum), also as Python floats for small batches
-            n = max(len(t[-1].coef) for t in self.seg_tables)
-            coef = np.column_stack([np.pad(t[-1].coef, (0, n - len(t[-1].coef))) for t in self.seg_tables])
             base = np.array([per_chain[-1] for per_chain in self.seg_base])
-            self._segments.append((*self.seg_tables[0][-1].mapparms(), base, coef, coef.T.tolist()))
+            lists = [t[-1].coef.tolist() for t in self.seg_tables]
+            self._segments.append((*self.seg_tables[0][-1].mapparms(), base, lists))
+        # (terms, chain, segment), each table zero-padded at the top to the
+        # longest: leading zeros change no bit of a Clenshaw sum
+        n = max(len(t.coef) for per_chain in self.seg_tables for t in per_chain)
+        self._block = np.array([[np.pad(t.coef, (0, n - len(t.coef))) for t in per_chain]
+                                for per_chain in self.seg_tables]).transpose(2, 0, 1)
         self.phi_mid = self._phi(np.array([self.xm]))[:, 0].tolist()
 
     def _phi(self, x: np.ndarray, chains=range(len(CHAIN_NAMES))) -> np.ndarray:
         """Integrals of the pole-free W0, W1, W2 from 0 to each x in [0, L], a
-        row each; the rows of chains not asked for are left unset.  Both
-        loops round as chebval does, whatever the batch size."""
-        seg = np.minimum(np.searchsorted(self.seg_bounds, x, side="right") - 1, len(self.seg_bounds) - 2)
+        row each; the rows of chains not asked for are left unset.  Below
+        BATCH_MIN points (an integral's two ends), Clenshaw sums of Python
+        floats per segment; a larger batch is one pass across segments, its
+        points sorted into rows of m = ceil(n / segments), each row one
+        segment's, its coefficients broadcast along the row.  Both round as
+        chebval does."""
+        nseg = len(self._segments)
+        seg = np.minimum(np.searchsorted(self.seg_bounds, x, side="right") - 1, nseg - 1)
         out = np.empty((len(CHAIN_NAMES), x.size))
         rows = list(chains)
-        for k in set(seg.tolist()):
-            idx = np.flatnonzero(seg == k)
-            off, scl, base, coef, lists = self._segments[k]
-            y = off + scl * x[idx]
-            if idx.size >= BATCH_MIN:
-                # the columns are independent sums, so a subset rounds alike
-                out[np.ix_(rows, idx)] = base[rows, None] + _clenshaw_rows(coef[:, rows], y)
-            else:
+        if x.size < BATCH_MIN:
+            for k in set(seg.tolist()):
+                idx = np.flatnonzero(seg == k)
+                off, scl, base, lists = self._segments[k]
+                y = off + scl * x[idx]
                 for i in rows:
                     out[i, idx] = base[i] + np.array([_clenshaw(lists[i], v) for v in y.tolist()])
+            return out
+        m = -(-x.size // nseg)
+        order = np.argsort(seg, kind="stable")
+        sk, counts = seg[order], np.bincount(seg, minlength=nseg)
+        nrows = -(-counts // m)
+        pos = np.arange(x.size) - (np.cumsum(counts) - counts)[sk]
+        row, col = (np.cumsum(nrows) - nrows)[sk] + pos // m, pos % m
+        y = np.zeros((int(nrows.sum()), m))
+        off, scl = np.array([segment[:2] for segment in self._segments]).T[:, sk]
+        y[row, col] = off + scl * x[order]
+        coef = self._block[:, rows][:, :, np.repeat(np.arange(nseg), nrows), None]
+        c0, c1, spare = np.empty((3, len(rows)) + y.shape)
+        c0[:], c1[:], x2 = coef[-2], coef[-1], 2.0 * y
+        for ck in coef[-3::-1]:  # (c0, c1) <- (ck - c1, c0 + c1 * x2)
+            np.add(c0, np.multiply(c1, x2, out=spare), out=spare)
+            np.subtract(ck, c1, out=c0)
+            c1, spare = spare, c1
+        out[np.ix_(rows, order)] = np.array(self.seg_base)[rows][:, sk] + (c0 + c1 * y)[:, row, col]
         return out
 
     def _regular_samples(self, xs: np.ndarray) -> np.ndarray:
         """W0, W1, W2 at xs in [0, L] with every registered pole term removed,
-        a row each: one chain batch outside the patch windows; inside, the
-        points grouped by (patch, side), each member's local series less its
-        own pole trimmed once per group and evaluated at x0 + t as a
-        one-point call would; then the other images' poles, in order."""
+        a row each: one chain batch outside the patch windows; inside, each
+        member's window series less its own pole, at x0 + t less x0 as a
+        one-point call takes it; then the other images' poles, in order."""
         sysm = self.sys
         out = np.empty((len(CHAIN_NAMES), xs.size))
-        window, offset = sysm._near_patches(xs)
-        direct = window < 0
+        where, side, sign, offset = sysm._locate(xs)
+        direct = where < 0
         if direct.any():
             xd = xs[direct]
-            chain = sysm._direct_members(xd, CHAIN_NAMES, n=max(_U_TERMS[name] for name in CHAIN_NAMES))
+            chain = sysm._direct_members(xd, CHAIN_NAMES, sign[direct], max(map(_U_TERMS.get, CHAIN_NAMES)))
             for i, jet in enumerate(chain):
                 v = jet.value
                 for (q, rho) in self.images[i]:
                     v = v - rho / (xd - q)
                 out[i, direct] = v
-        right = offset >= 0.0
-        # groups in the order of their first points: a side whose pole cannot
-        # cancel raises at the point a pass point by point would raise at
-        for p, on_right in dict.fromkeys(zip(window[~direct].tolist(), right[~direct].tolist())):
-            idx = np.flatnonzero((window == p) & (right == on_right))
-            x, t = xs[idx], offset[idx]
-            loc = sysm._active_local(sysm.patches[p], +1 if on_right else -1)
+        if not direct.all():
+            x, t = xs[~direct], offset[~direct]
+            x0 = sysm._columns[-1][where[~direct]]
+            rows = 2 * where[~direct] + (side[~direct] < 0)
             for i, name in enumerate(CHAIN_NAMES):
-                lp = getattr(loc, name).structurally_trimmed(1e-12).regular_part()
-                v = lp(lp.x0 + t)
+                v = sysm._sum(sysm._series(name, "regular"), rows, (x0 + t) - x0)
                 for (q, rho) in self.images[i]:
                     other = np.abs(q - (x - t)) >= 1e-9  # its own pole is in the series split
                     v[other] -= rho / (x[other] - q)
-                out[i, idx] = v
+                out[i, ~direct] = v
         return out
 
     def log_weight(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -1007,16 +1072,18 @@ class _StateAssembly:
         xr = _reduce(flat, sysm.period)
         m = np.rint((flat - xr) / sysm.period)
         phi = self._phi(xr, sorted({i for i, _ in states}))
-        window, offset = sysm._near_patches(xr)
-        direct, inside = np.flatnonzero(window < 0), np.flatnonzero(window >= 0)
+        where, side, sign, offset = sysm._locate(xr)
+        direct, inside = np.flatnonzero(where < 0), np.flatnonzero(where >= 0)
         names = [name for _, name in states if name]
         n = max(_U_TERMS[name] for name in names)
         if direct.size >= BATCH_MIN:
-            factors = [jet.value for jet in sysm._direct_members(xr[direct], names, n=n)]
+            factors = [jet.value for jet in sysm._direct_members(xr[direct], names, sign[direct], n)]
         else:  # one float jet per point beats a small batch
-            factors = [[j.value for j in sysm._direct_members(v, names, n=n)] for v in xr[direct].tolist()]
+            factors = [[j.value for j in sysm._direct_members(v, names, s, n)]
+                       for v, s in zip(xr[direct].tolist(), sign[direct].tolist())]
             factors = np.reshape(factors, (direct.size, len(names))).T
         factors = dict(zip(names, factors))
+        rows = 2 * where[inside] + (side[inside] < 0)
         out = []
         for (i, name), const in zip(states, consts):
             w = np.exp(self.phi_mid[i] - phi[i])
@@ -1035,31 +1102,14 @@ class _StateAssembly:
             if name:
                 f = np.empty(xr.size)
                 f[direct] = factors[name]
-                shift = np.append(rho, 0)[near]  # near = -1 reads the appended 0
-                groups = {}
-                for k in inside.tolist():
-                    groups.setdefault((window[k], offset[k] >= 0.0, shift[k]), []).append(k)
-                for (p, right, s), idx in groups.items():
-                    lp = getattr(sysm._active_local(sysm.patches[p], 1 if right else -1), name)
-                    lp = lp.structurally_trimmed(1e-12)
-                    # in the offset itself, so no rounding of patch.x + t enters
-                    f[idx] = local_series.LaurentPoly(0.0, lp.valuation - int(s), lp.coeffs)(offset[idx])
+                if inside.size:  # in the offset itself, so no rounding of patch.x + t enters
+                    shift = np.append(rho, 0)[near[inside]]  # near = -1 reads the appended 0
+                    f[inside] = sysm._sum(sysm._series(name), rows, offset[inside], shift)
                 w *= f
             out.append(const * self.wrap[i] ** m * w)
         if np.ndim(x) == 0:
             return tuple(float(row[0]) for row in out)
         return tuple(row.reshape(np.shape(x)) for row in out)
-
-
-def _clenshaw_rows(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """chebval(y, coef) for coef (n, rows), operation for operation, in place."""
-    c0, c1, spare = np.empty((3, coef.shape[1], y.size))
-    c0[:], c1[:], x2 = coef[-2][:, None], coef[-1][:, None], 2.0 * y
-    for ck in coef[-3::-1, :, None]:  # (c0, c1) <- (ck - c1, c0 + c1 * x2)
-        np.add(c0, np.multiply(c1, x2, out=spare), out=spare)
-        np.subtract(ck, c1, out=c0)
-        c1, spare = spare, c1
-    return c0 + c1 * y
 
 
 def _clenshaw(c: list, y: float) -> float:

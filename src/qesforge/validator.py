@@ -3,8 +3,8 @@
 Decides whether a periodic U(x) can drive the three-level construction:
 zero structure (simple zeros anywhere, one double zero at the half-period),
 evenness about the half-period, the curvature constraints at double zeros
-and at tangential touches of the lower level -2*eps0, and global
-nonnegativity of the branch discriminant.
+and at tangential touches of the lower level -2*eps0, global nonnegativity
+of the branch discriminant, and its zero at the origin.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def check_admissibility(u, eps0: float, eps1: float, period: float) -> Admissibi
 
     doubles = [z for z in zeros if z.order == 2]
     mid = [z for z in doubles if abs(z.x - xm) <= 1e-6 * L]
-    add("midpoint_double_zero", bool(mid), f"double zeros at {[round(z.x, 6) for z in doubles]}")
+    add("midpoint_double_zero", bool(mid), f"double zeros at {[round(float(z.x), 6) for z in doubles]}")
 
     target = 8.0 * cu.eps0 * cu.eps1
     curv_mid = cu.deriv(xm, 2)
@@ -311,6 +311,11 @@ def check_admissibility(u, eps0: float, eps1: float, period: float) -> Admissibi
     s_scale = max(float(np.max(np.abs(sv))), 1.0)
     s_min = float(np.min(sv))
     add("discriminant_nonnegative", s_min >= -1e-9 * s_scale, f"min S = {s_min:.6e}")
+
+    # a W+ odd about the midpoint with period L is odd about 0 too, so it
+    # vanishes there, which needs a branch breakpoint: S(0) = 0 to the
+    # construction's breakpoint tolerance (the first GRID sample is x = 0)
+    add("origin_structural", abs(sv[0]) <= 1e-8 * s_scale, f"S(0) = {sv[0]:.3e}")
 
     umin, umax = float(np.min(uv)), float(np.max(uv))
     range_ok = umin > -2.0 * cu.eps0 and umax < 2.0 * cu.eps1

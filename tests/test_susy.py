@@ -9,6 +9,7 @@ import gc
 import math
 import sys
 import weakref
+from bisect import bisect_right
 from functools import partial
 
 import numpy as np
@@ -73,6 +74,52 @@ def clean_points(system, n=120):
             out.append(x)
     assert len(out) > n // 2
     return out
+
+
+def near_patch(system, x):
+    """The per-point window rule the locator tabulates, kept as its oracle:
+    (patch index, signed offset) when x lies in a patch window, else
+    (None, 0.0).  Only the two patches around x count, the left one first."""
+    L = system.period
+    xr = susy._reduce(x, L)
+    xs = [p.x for p in system.patches]
+    i = bisect_right(xs, xr)
+    for j in (i - 1, i % len(xs)):
+        t = xr - xs[j]
+        t -= L * round(t / L)
+        if abs(t) <= system.patches[j].eval_halfwidth:
+            return j % len(xs), t
+    return None, 0.0
+
+
+def near_patches(system, xr):
+    """near_patch on numpy for an array reduced to [0, L]: the window index
+    (-1 for none) and offset per point, as batch callers computed them."""
+    L, n = system.period, len(system.patches)
+    where, offset = np.full(xr.shape, -1), np.zeros(xr.shape)
+    px = np.array([p.x for p in system.patches])
+    half = np.array([p.eval_halfwidth for p in system.patches])
+    i = np.searchsorted(px, xr, side="right")
+    for j in ((i - 1) % n, i % n):
+        t = xr - px[j]
+        t = t - L * np.round(t / L)
+        hit = (where < 0) & (np.abs(t) <= half[j])
+        where[hit], offset[hit] = j[hit], t[hit]
+    return where, offset
+
+
+def rule_sign(system, j, t, xr):
+    """The branch sign a point takes: the sign map's at the point off the
+    windows, inside one the map's half a window out on the offset's side."""
+    if j is None or j < 0:
+        return system.branch_map.sign_at(xr)
+    side = 1 if t >= 0.0 else -1
+    return system.branch_map.sign_at(system.patches[j].x + side * 0.5 * system.patch_halfwidth)
+
+
+def off_windows(system, x):
+    """Whether x lies off every patch window, by the locator."""
+    return system._locate(susy._reduce(x, system.period))[0] < 0
 
 
 def spectral_derivative(vals, order=1):
@@ -642,10 +689,10 @@ def test_chain_carries_only_valid_coefficients(razavy1, beta_b0, beta_bnz, touch
     for system in (razavy1, beta_b0, beta_bnz, touch):
         xs = clean_points(system, 30) + [1.0]
         for x in xs:
-            if system._near_patch(x)[0] is not None:
+            if not off_windows(system, x):
                 continue
             chain = system.chain(x)
-            longer = system._direct_members(x, susy._Chain._fields, n=jets.N_COEFF + 2)
+            longer = system._direct_members(x, susy._Chain._fields, system.branch_map.sign_at(x), jets.N_COEFF + 2)
             assert [len(j.coeffs) for j in chain] == [6, 6, 5, 5, 5, 5, 4]
             for short, long in zip(chain, longer):
                 assert short.coeffs == long.coeffs[: len(short.coeffs)]
@@ -717,13 +764,14 @@ def test_assembly_samples_each_node_once(eval_jet_calls, monkeypatch):
     system._ensure_assembly()
     seen = np.concatenate([np.atleast_1d(x0) for x0 in eval_jet_calls]).tolist()
     assert len(set(seen)) == len(seen)
-    off_window = {x for x in nodes if system._near_patch(x)[0] is None}
+    off_window = {x for x in nodes if off_windows(system, x)}
     assert off_window and set(seen) == off_window
 
 
 def test_batched_window_lookup_matches_points(razavy1, beta_b0, beta_bnz, touch):
-    # the batch paths split window points from direct ones exactly as the
-    # per-point lookup does, edges of every window included
+    # the locator's array lookup makes the scalar lookup's decision, offset
+    # and sign at every point, edges of every window included, and both
+    # make the per-point rule's
     for system in (razavy1, beta_b0, beta_bnz, touch):
         L = system.period
         xs = [(k + 0.5) / 997 * L for k in range(997)]
@@ -731,19 +779,52 @@ def test_batched_window_lookup_matches_points(razavy1, beta_b0, beta_bnz, touch)
             for f in (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12):
                 xs += [p.x + f * p.eval_halfwidth, p.x - f * p.eval_halfwidth]
         xs = np.array([x % L for x in xs])
-        where, offset = system._near_patches(xs)
-        for x, j, t in zip(xs, where, offset):
-            patch, want = system._near_patch(x)
-            assert (j < 0) == (patch is None)
-            if patch is not None:
-                assert system.patches[j] is patch and t == want
+        where, side, sign, offset = system._locate(xs)
+        for x, j, s, t in zip(xs.tolist(), where.tolist(), sign.tolist(), offset.tolist()):
+            want, want_t = near_patch(system, x)
+            assert system._locate(x)[0] == j == (-1 if want is None else want)
+            assert s == system._locate(x)[2] == rule_sign(system, want, want_t, x)
+            if want is not None:
+                assert t == want_t == system._locate(x)[3]
+
+
+def test_locator_decides_every_float_near_an_edge_as_the_rule_does(razavy1, beta_b0, beta_bnz, touch):
+    # every float within 4 ulps of a window edge, a breakpoint or an interval
+    # start of the locator, over three images: the scalar and array lookups
+    # give the per-point rule's window, offset bits and sign
+    for system in (razavy1, beta_b0, beta_bnz, touch):
+        L = system.period
+        centres = [p.x + f * p.eval_halfwidth for p in system.patches for f in (-1.0, 0.0, 1.0)]
+        centres += list(system.branch_map.breakpoints) + system._starts[:-1]
+        xs = []
+        for c in centres:
+            for k in (-1, 0, 1):
+                x = c + k * L
+                for _ in range(4):
+                    x = math.nextafter(x, -math.inf)
+                for _ in range(9):
+                    xs.append(x)
+                    x = math.nextafter(x, math.inf)
+        xr = susy._reduce(np.array(xs), L)
+        where, side, sign, offset = system._locate(xr)
+        want_where, want_offset = near_patches(system, xr)
+        np.testing.assert_array_equal(where, want_where)
+        assert offset[where >= 0].tobytes() == want_offset[where >= 0].tobytes()
+        for x, j, s in zip(xs, where.tolist(), sign.tolist()):
+            want, t = near_patch(system, x)
+            got = system._locate(susy._reduce(x, L))
+            assert got[0] == j == (-1 if want is None else want), x
+            assert got[2] == s == rule_sign(system, want, t, susy._reduce(x, L)), x
+            if want is not None:
+                assert got[1] == (1 if t >= 0.0 else -1) and got[3].hex() == t.hex(), x
 
 
 def test_batched_chain_matches_points(razavy1, beta_b0, beta_bnz, touch):
     # one batch through the stable form reproduces every per-point chain jet
     for system in (razavy1, beta_b0, beta_bnz, touch):
         xs = clean_points(system)
-        batch = system._direct_members(np.array(xs), susy._Chain._fields)
+        signs = np.array([system.branch_map.sign_at(x) for x in xs])
+        batch = system._direct_members(np.array(xs), susy._Chain._fields, signs)
         for k, x in enumerate(xs):
             for got, want in zip(batch, system.chain(x)):
                 assert [float(np.broadcast_to(c, len(xs))[k]) for c in got.coeffs] == list(want.coeffs)
@@ -758,7 +839,7 @@ def test_oddness_probe_reports_negative_discriminant_like_scalar_probe():
     first = None
     for t in np.linspace(0.0, 0.5 * TWO_PI, 514)[1:-1]:
         a, b = xm + t, xm - t
-        if system._near_patch(a)[0] is not None or system._near_patch(b)[0] is not None:
+        if not (off_windows(system, a) and off_windows(system, b)):
             continue
         try:
             system.w_plus(a)
@@ -772,34 +853,19 @@ def test_oddness_probe_reports_negative_discriminant_like_scalar_probe():
     assert (got.value.x, got.value.value) == (first.x, first.value)
 
 
-def test_in_window_potentials_read_one_series(beta_b0, monkeypatch):
-    # V needs W0 alone: inside a window no other member's series is read,
-    # for a scalar point or a batch, and each side's is read once and kept
-    read = []
-    active = susy.ConstructedSystem._active_local
-
-    class Recording:
-        def __init__(self, chain):
-            self.chain = chain
-
-        def __getattr__(self, name):
-            read.append(name)
-            return getattr(self.chain, name)
-
-    monkeypatch.setattr(susy.ConstructedSystem, "_active_local", lambda *args: Recording(active(*args)))
+def test_in_window_potentials_read_one_series(beta_b0):
+    # V needs W0 alone: inside a window only the tables of W0's series and
+    # of its slope are built, for a scalar point or a batch, once, and kept
     for patch in beta_b0.patches:
-        patch.w0_series.clear()
+        beta_b0._series_tables.clear()
         x = patch.x + 0.5 * patch.eval_halfwidth
-        read.clear()
         beta_b0.potentials(x)
-        assert read == ["w0"], patch.kind
-        read.clear()
+        kept = dict(beta_b0._series_tables)
+        assert sorted(kept) == [("w0", "", None), ("w0", "slope", None)], patch.kind
         beta_b0.potentials(np.array([x, x - patch.eval_halfwidth]))
-        assert read == ["w0"], patch.kind  # the left side's; the right one is kept
-        read.clear()
         beta_b0.potentials(x - patch.eval_halfwidth)
-        beta_b0.potentials(np.array([x, x - patch.eval_halfwidth]))
-        assert read == [], patch.kind
+        assert beta_b0._series_tables == kept
+        assert all(beta_b0._series_tables[key] is table for key, table in kept.items())
 
 
 def test_in_window_potentials_follow_the_sign(beta_b0, touch):
@@ -810,7 +876,7 @@ def test_in_window_potentials_follow_the_sign(beta_b0, touch):
         for patch in system.patches:
             for side in (+1, -1):
                 x = patch.x + side * 0.5 * patch.eval_halfwidth
-                t = np.array([system._near_patch(x)[1]])
+                t = np.array([system._locate(susy._reduce(x, system.period))[3]])
                 for sign in (None, +1, -1, None):
                     try:
                         got = system.potentials(x, sign)
@@ -831,6 +897,37 @@ def test_scalar_series_sum_rounds_like_the_array_path():
         lp = LaurentPoly(0.0, valuation, tuple(rng.normal(size=6)))
         for t in rng.uniform(-0.05, 0.05, 2000) * 10.0 ** rng.uniform(-6, 0, 2000):
             assert susy._series_at(lp, float(t)) == float(lp(np.array([t]))[0]), valuation
+
+
+def test_gathered_series_sum_rounds_like_each_rows_call(touch):
+    # one Horner pass over gathered rows of unequal length, then one power
+    # per distinct valuation: every point is what LaurentPoly's call on its
+    # own row, valuation shifted, gives on the whole batch, bit for bit; a
+    # row whose pole cannot cancel raises at its first point in batch order
+    rng = np.random.default_rng(7)
+    for sign in (None, +1, -1):
+        for name in ("w0", "w2", "g", "h"):
+            table = touch._series(name, "", sign)
+            good = np.flatnonzero(~table.bad)
+            rows = rng.choice(good, 400)
+            t = rng.uniform(-0.05, 0.05, 400) * 10.0 ** rng.uniform(-8, 0, 400)
+            t[:3] = (0.0, -0.0, 1e-100)
+            shift = rng.choice([-1.0, 0.0, 1.0], 400)
+            got = touch._sum(table, rows, t, shift)
+            for g in set(rows.tolist()):
+                on = rows == g
+                for s in set(shift[on].tolist()):
+                    lp = table.polys[g]
+                    pick = on & (shift == s)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        want = LaurentPoly(0.0, lp.valuation - int(s), lp.coeffs)(t[pick])
+                    assert got[pick].tobytes() == want.tobytes(), (name, sign, g, s)
+            bad = np.flatnonzero(table.bad)
+            if bad.size:
+                rows = np.concatenate([good[:2], bad[::-1], good[:1]])
+                with pytest.raises(UnremovablePoleError) as exc:
+                    touch._sum(table, rows, np.full(rows.size, 1e-3))
+                assert exc.value.x == touch.patches[bad[-1] // 2].x
 
 
 def test_dropped_system_is_freed_without_cycle_collection():
@@ -982,6 +1079,39 @@ def test_vplus_pole_flag_raises(touch):
     touch.potentials(patch.x)  # healthy again
 
 
+def test_nan_points_read_nan_off_the_windows(razavy1):
+    # a NaN sorts past every start of the locator, onto the direct arc the
+    # branch map's bisect gives it, so the scalar evaluators and the states
+    # read NaN there
+    x = np.array([math.nan, 1.0])
+    assert razavy1._locate(math.nan)[:3] == (-1, 0, razavy1.branch_map.signs[-1])
+    assert np.isnan(razavy1.potentials(math.nan)).all() and np.isnan(razavy1.w_plus(math.nan).value)
+    for got in razavy1.wavefunctions_minus(x) + razavy1.wavefunctions_plus(x):
+        assert np.isnan(got[0]) and np.isfinite(got[1])
+
+
+def test_window_potentials_raise_as_a_pass_patch_by_patch(touch):
+    # on an overridden sign a side of each lower-edge patch keeps a pole that
+    # cannot cancel; a batch meeting both, the later patch first, raises at
+    # the earlier one, and a V+ pole hit raises before its own patch's sides
+    for sign in (+1, -1):
+        rows = np.flatnonzero(touch._series("w0", "", sign).bad).tolist()
+        patches = [touch.patches[g // 2] for g in rows]
+        xs = [p.x + (0.5 if g % 2 == 0 else -0.5) * p.eval_halfwidth for p, g in zip(patches, rows)]
+        assert len({p.x for p in patches}) == 2
+        with pytest.raises(UnremovablePoleError) as exc:
+            touch.potentials(np.array(xs[::-1]), sign)
+        assert exc.value.x == patches[0].x
+        for p, want in ((patches[1], UnremovablePoleError), (patches[0], VplusPoleError)):
+            p.vplus_pole = True
+            try:
+                with pytest.raises(want) as exc:
+                    touch.potentials(np.array([xs[1], patches[1].x, xs[0], patches[0].x]), sign)
+            finally:
+                p.vplus_pole = False
+            assert exc.value.x == patches[0].x
+
+
 def test_off_window_potentials_stop_at_w0(beta_b0, monkeypatch, kernel_runs):
     # V reads W0 alone: outside the windows the chain stops before W~+,
     # g and h, on the jet path and in every recording, and W0 is the full
@@ -1016,6 +1146,7 @@ def test_off_window_potentials_stop_at_w0(beta_b0, monkeypatch, kernel_runs):
 def _jet_path_potentials(system, x, sign=None):
     """Off-window V through the jets alone: W0 and its slope from one U jet
     of 4 coefficients."""
+    sign = system.branch_map.sign_at(x) if sign is None else sign
     w0 = system._direct_members(susy._reduce(x, system.period), ("w0",), sign, 4)[0]
     return susy._partner_potentials(w0.value, w0.derivative(1))
 
@@ -1040,14 +1171,14 @@ def test_kernel_potentials_match_the_jet_path(razavy1, beta_b0, beta_bnz, touch,
         xs = []
         while len(xs) < 2000:
             x = float(rng.uniform(-L, 2.0 * L))
-            if system._near_patch(x)[0] is None:
+            if off_windows(system, x):
                 xs.append(x)
         for p in system.patches:
             for f in (1.0 - 1e-12, 1.0 + 1e-12):
                 xs += [p.x + f * p.eval_halfwidth, p.x - f * p.eval_halfwidth]
         for x in (0.0, 0.5 * math.pi):
             xs += [x - L, x, x + L]
-        xs = [x for x in xs if system._near_patch(x)[0] is None]
+        xs = [x for x in xs if off_windows(system, x)]
         kernel_runs.clear()
         for sign in (None, +1, -1):
             for x in xs:
@@ -1123,12 +1254,12 @@ def test_kernel_leaves_errors_to_the_jet_path(u, good, bad, error, kernel_runs):
     system.u = validator.CompiledU(u, 1.0, 0.5, TWO_PI)
     if bad is None:  # the first probe point off the windows where S < 0
         for bad in np.linspace(0.0, TWO_PI, 1001).tolist():
-            if system._near_patch(bad)[0] is None:
+            if off_windows(system, bad):
                 try:
                     _jet_path_potentials(system, bad)
                 except error:
                     break
-    assert system._near_patch(bad)[0] is None and system.branch_map.sign_at(bad) == system.branch_map.sign_at(good)
+    assert off_windows(system, bad) and system.branch_map.sign_at(bad) == system.branch_map.sign_at(good)
     system.potentials(good)
     with pytest.raises(error) as want:
         _jet_path_potentials(system, bad)
@@ -1303,11 +1434,11 @@ def _regular_samples_per_point(assembly, xs):
     point: the oracle for its grouped form."""
     sysm = assembly.sys
     out = np.empty((len(susy.CHAIN_NAMES), xs.size))
-    window, offset = sysm._near_patches(xs)
+    window, offset = near_patches(sysm, xs)
     direct = window < 0
     if direct.any():
         xd = xs[direct]
-        chain = sysm._direct_members(xd, susy.CHAIN_NAMES, n=3)
+        chain = sysm._direct_members(xd, susy.CHAIN_NAMES, np.array([sysm.branch_map.sign_at(v) for v in xd]), 3)
         for i, jet in enumerate(chain):
             v = jet.value
             for (q, rho) in assembly.images[i]:

@@ -104,10 +104,12 @@ def test_tables_keep_only_what_the_function_needs(name, monkeypatch):
 
 
 def test_the_cut_never_runs_on_an_unconverged_fit(monkeypatch):
-    # Razavy (3.2, 2.5) climbs its ladder to the cap and fails; every prefix
-    # that was integrated before the failure is a prefix of a converged fit
+    # W2's samples jump inside the first segment, so its ladder climbs to
+    # the cap and fails; every prefix integrated before the failure is a
+    # prefix of a converged fit
     events = []  # fits and integrated prefixes, in call order
     fit, integrate = susy._cheb_fit, susy._antiderivative
+    samples = susy._StateAssembly._regular_samples
 
     def recording_fit(*args):
         events.append(fit(*args))
@@ -117,13 +119,19 @@ def test_the_cut_never_runs_on_an_unconverged_fit(monkeypatch):
         events.append(c.copy())
         return integrate(c, scale)
 
+    def jumping(assembly, xs):
+        out = samples(assembly, xs)
+        out[2, xs > 1.0] += 1.0
+        return out
+
     monkeypatch.setattr(susy, "_cheb_fit", recording_fit)
     monkeypatch.setattr(susy, "_antiderivative", recording_integrate)
-    system = construct(RAZAVY, 3.2, 2.5, TWO_PI)
+    monkeypatch.setattr(susy._StateAssembly, "_regular_samples", jumping)
+    system = construct(RAZAVY, 1.0, 0.5, TWO_PI)
     with pytest.raises(QuadratureNonconvergenceError):
         system.wavefunctions_minus(1.0)
     assert len(events[-1].coef) == susy.CHEB_DEGREE_MAX
-    assert any(isinstance(e, np.ndarray) for e in events)  # W0's ladder converges first
+    assert sum(isinstance(e, np.ndarray) for e in events) == 2  # W0's and W1's ladders converge first
     for before, prefix in zip(events[:-1], events[1:]):
         if isinstance(prefix, np.ndarray):
             n = len(before.coef)

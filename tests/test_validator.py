@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesforge import validator
+from qesforge import susy, validator
 from qesforge.validator import (
     CompiledU,
     check_admissibility,
@@ -216,6 +216,39 @@ def test_reject_curvature_mismatch():
     rep = check_admissibility("sin(x)^2", 1.0, 0.5, TWO_PI)
     assert not rep.passed
     assert not rep.check("curvature_at_double_zeros").passed
+
+
+def _even_trig_draws(seed, count):
+    """Seeded even trigonometric inputs with the midpoint double zero of the
+    right curvature: U = b1 (1 + cos x) + sum_{k=2..K} bk (1 - cos k(x - pi)),
+    K <= 4, b1 setting U''(pi) = 8 eps0 eps1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k_max = int(rng.integers(2, 5))
+        e0, e1 = float(rng.choice([0.5, 1.0, 2.0, 3.0])), float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+        b = (rng.uniform(-1.0, 1.0, k_max - 1) * e0 * e1).tolist()
+        b1 = 8.0 * e0 * e1 - sum((k + 2) ** 2 * bk for k, bk in enumerate(b))
+        u = f"{b1!r}*(1+cos(x))" + "".join(f" + {bk!r}*(1-cos({k + 2}*(x-pi)))" for k, bk in enumerate(b))
+        yield u, e0, e1
+
+
+def test_origin_check_rejects_what_cannot_build():
+    # W+ odd about pi with period 2 pi is odd about 0 too, so S(0) must
+    # vanish; none of these draws has U(0) in {0, -2 eps0, 2 eps1}.  Without
+    # the check 79 of them passed the validator and then failed to build
+    # (BranchInconsistencyError); each is now rejected with a named check
+    rejected = 0
+    for u, e0, e1 in _even_trig_draws(2026, 120):
+        rep = check_admissibility(u, e0, e1, TWO_PI)
+        if rep.passed:  # an admissible input must build
+            susy.construct(u, e0, e1, TWO_PI).wavefunctions_minus(1.0)
+            continue
+        rejected += 1
+        assert not rep.check("origin_structural").passed
+        assert rep.check("origin_structural").detail.startswith("S(0) = ")
+    assert rejected == 120
+    for u, e0, e1 in ADMISSIBLE:
+        assert check_admissibility(u, e0, e1, TWO_PI).check("origin_structural").passed
 
 
 # -------------------------------------------------------- partner regularity
