@@ -160,8 +160,10 @@ class Jet:
             base = base * base
 
     def _check_base(self, other: "Jet"):
-        """Raise unless other, whose x0 is another object, has the same base points."""
-        if np.any(np.not_equal(self.x0, other.x0)):
+        """Raise unless other, whose x0 is another object, has the same base
+        points; a NaN base point equals a NaN."""
+        differ = np.not_equal(self.x0, other.x0)
+        if np.any(differ) and np.any(differ & ~(np.isnan(self.x0) & np.isnan(other.x0))):
             raise ValueError("jets have different base points")
 
 

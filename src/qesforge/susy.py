@@ -9,7 +9,8 @@ U and switches to matched local series inside narrow windows around them;
 the seam between the two representations is verified at construction time.
 One point locator, built with the system, tells every evaluator which window,
 side and branch sign a point takes; batches read the series from one table
-per chain member and the integrals in one Clenshaw pass across segments.
+per chain member, and the integrals as one Chebyshev basis of the batch's
+points times each segment's coefficient matrix.
 
 The chain formulas (W~+ = U/W+, W0 and W1 from W+, W2 from W~+, and the
 excited-state factors g and h) live in ``_chain`` alone, which works on any
@@ -59,6 +60,7 @@ CHEB_DEGREE_MAX = 8192
 CHEB_TAIL_REL = 1e-10
 CHAIN_NAMES = ("w0", "w1", "w2")
 BATCH_MIN = 12  # state batches below this many points run on Python floats
+BASIS_CELLS = 1 << 18  # a batch builds its Chebyshev basis at most this many entries (2 MB) at a time
 # Recorded W0 kernels kept per (sign, U order) for scalar V off the windows:
 # one per stable form of W+, and room for ones recorded where a guard's
 # outcome is rare (a coefficient exactly 0)
@@ -914,8 +916,10 @@ class _StateAssembly:
     rho over a period): W_i is odd about xm, so its principal value over a
     period vanishes, and the factors are periodic.
     A scalar x is a batch of one: the system's locator splits a batch, phi is
-    one Clenshaw pass across segments, and the factors are one chain batch
-    outside the windows and one pass over the window-series tables inside.
+    one Chebyshev basis of the batch's points times one coefficient matrix
+    per segment (Clenshaw sums on floats below BATCH_MIN points), and the
+    factors are one chain batch outside the windows and one pass over the
+    window-series tables inside.
     Each table integrates the shortest prefix of its converged fit whose
     whole dropped tail passes the ladder's own test (Chebfun's chop once a
     series has converged; Aurentz & Trefethen, ACM TOMS 43(4), 2017), so it
@@ -943,6 +947,7 @@ class _StateAssembly:
         self.seg_tables = [[] for _ in CHAIN_NAMES]
         self.seg_base = [[] for _ in CHAIN_NAMES]
         self._segments = []  # per segment: domain map, bases, coefficient rows as Python floats
+        self._coef = []  # per segment: the same rows as one array
         acc = [0.0 for _ in CHAIN_NAMES]
         for a, b in zip(self.seg_bounds[:-1], self.seg_bounds[1:]):
             # node count -> all three chains sampled at those nodes; each
@@ -977,21 +982,20 @@ class _StateAssembly:
             base = np.array([per_chain[-1] for per_chain in self.seg_base])
             lists = [t[-1].coef.tolist() for t in self.seg_tables]
             self._segments.append((*self.seg_tables[0][-1].mapparms(), base, lists))
-        # (terms, chain, segment), each table zero-padded at the top to the
-        # longest: leading zeros change no bit of a Clenshaw sum
-        n = max(len(t.coef) for per_chain in self.seg_tables for t in per_chain)
-        self._block = np.array([[np.pad(t.coef, (0, n - len(t.coef))) for t in per_chain]
-                                for per_chain in self.seg_tables]).transpose(2, 0, 1)
+            # the segment's tables as one (chain, terms) matrix, zero-padded at the top
+            n = max(map(len, lists))
+            self._coef.append(np.array([c + [0.0] * (n - len(c)) for c in lists]))
+        self._maps = np.array([segment[:2] for segment in self._segments]).T
         self.phi_mid = self._phi(np.array([self.xm]))[:, 0].tolist()
 
     def _phi(self, x: np.ndarray, chains=range(len(CHAIN_NAMES))) -> np.ndarray:
         """Integrals of the pole-free W0, W1, W2 from 0 to each x in [0, L], a
         row each; the rows of chains not asked for are left unset.  Below
         BATCH_MIN points (an integral's two ends), Clenshaw sums of Python
-        floats per segment; a larger batch is one pass across segments, its
-        points sorted into rows of m = ceil(n / segments), each row one
-        segment's, its coefficients broadcast along the row.  Both round as
-        chebval does."""
+        floats per segment, rounded as chebval does.  A larger batch is sorted
+        by segment and mapped to y in [-1, 1]; one basis T_0..T_{n-1}(y) serves
+        every chain asked for, and each segment is one product of its
+        coefficient matrix with its points' columns of the basis."""
         nseg = len(self._segments)
         seg = np.minimum(np.searchsorted(self.seg_bounds, x, side="right") - 1, nseg - 1)
         out = np.empty((len(CHAIN_NAMES), x.size))
@@ -1004,23 +1008,21 @@ class _StateAssembly:
                 for i in rows:
                     out[i, idx] = base[i] + np.array([_clenshaw(lists[i], v) for v in y.tolist()])
             return out
-        m = -(-x.size // nseg)
         order = np.argsort(seg, kind="stable")
-        sk, counts = seg[order], np.bincount(seg, minlength=nseg)
-        nrows = -(-counts // m)
-        pos = np.arange(x.size) - (np.cumsum(counts) - counts)[sk]
-        row, col = (np.cumsum(nrows) - nrows)[sk] + pos // m, pos % m
-        y = np.zeros((int(nrows.sum()), m))
-        off, scl = np.array([segment[:2] for segment in self._segments]).T[:, sk]
-        y[row, col] = off + scl * x[order]
-        coef = self._block[:, rows][:, :, np.repeat(np.arange(nseg), nrows), None]
-        c0, c1, spare = np.empty((3, len(rows)) + y.shape)
-        c0[:], c1[:], x2 = coef[-2], coef[-1], 2.0 * y
-        for ck in coef[-3::-1]:  # (c0, c1) <- (ck - c1, c0 + c1 * x2)
-            np.add(c0, np.multiply(c1, x2, out=spare), out=spare)
-            np.subtract(ck, c1, out=c0)
-            c1, spare = spare, c1
-        out[np.ix_(rows, order)] = np.array(self.seg_base)[rows][:, sk] + (c0 + c1 * y)[:, row, col]
+        sk = seg[order]
+        off, scl = self._maps[:, sk]
+        y = off + scl * x[order]
+        n = max(c.shape[1] for c in self._coef)
+        got = np.empty((len(rows), x.size))
+        step = max(1, BASIS_CELLS // n)
+        for a in range(0, x.size, step):
+            basis = _cheb_basis(y[a : a + step], n)
+            ends = a + np.searchsorted(sk[a : a + step], np.arange(nseg + 1))
+            for k, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+                if lo < hi:
+                    coef = self._coef[k][rows]
+                    got[:, lo:hi] = coef @ basis[: coef.shape[1], lo - a : hi - a]
+        out[np.ix_(rows, order)] = np.array(self.seg_base)[rows][:, sk] + got
         return out
 
     def _regular_samples(self, xs: np.ndarray) -> np.ndarray:
@@ -1110,6 +1112,21 @@ class _StateAssembly:
         if np.ndim(x) == 0:
             return tuple(float(row[0]) for row in out)
         return tuple(row.reshape(np.shape(x)) for row in out)
+
+
+def _cheb_basis(y: np.ndarray, n: int) -> np.ndarray:
+    """T_0..T_{n-1} at each point of y, a row each, n >= 2.  With T_0..T_m
+    known, T_{m+j} = 2 T_m T_j - T_{m-j} gives rows m+1..2m in one step, so
+    the basis takes ~log2(n) array steps, not n."""
+    t = np.empty((n, y.size))
+    t[0], t[1], m = 1.0, y, 1
+    while m + 1 < n:
+        j = min(m, n - 1 - m)
+        new = t[m + 1 : m + 1 + j]
+        np.multiply(t[1 : j + 1], 2.0 * t[m], out=new)
+        new -= t[m - j : m][::-1]
+        m += j
+    return t
 
 
 def _clenshaw(c: list, y: float) -> float:

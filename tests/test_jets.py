@@ -212,6 +212,17 @@ def test_batch_base_point_mismatch():
         jets.variable(np.array([0.0, 1.0])) + jets.variable(np.array([0.0, 2.0]))
 
 
+def test_batch_nan_base_points_match():
+    # a NaN base point is the same point as a NaN, not a mismatch
+    x = np.array([math.nan, 1.0])
+    got = jets.variable(x) + jets.variable(x.copy())
+    assert np.isnan(got.value[0]) and got.value[1] == 2.0
+    with pytest.raises(ValueError):
+        jets.variable(x) + jets.variable(np.array([math.nan, 2.0]))
+    with pytest.raises(ValueError):
+        jets.variable(x) * jets.variable(np.array([0.0, 1.0]))
+
+
 def test_piecewise_runs_each_branch_on_its_points():
     x = jets.variable(np.array([-2.0, 0.5, -0.25, 3.0]))
     seen = []

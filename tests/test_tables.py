@@ -1,6 +1,7 @@
 """The antiderivative tables of the state assembly: the numpy DCT-II, the
-integration recurrence and the endpoint sums against independent oracles,
-and the cut that stores each table only as long as its function needs."""
+integration recurrence, the endpoint sums and the batch read against
+independent oracles, and the cut that stores each table only as long as its
+function needs."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 from qesforge import susy
-from qesforge.errors import QuadratureNonconvergenceError
+from qesforge.errors import InadmissibleInputError, QesError, QuadratureNonconvergenceError
 from qesforge.susy import construct
 
 TWO_PI = 2.0 * math.pi
@@ -137,3 +138,103 @@ def test_the_cut_never_runs_on_an_unconverged_fit(monkeypatch):
             n = len(before.coef)
             assert _passes_ladder_test(before.coef, before.coef[-max(8, n // 8):])
             np.testing.assert_array_equal(prefix, before.coef[: prefix.size])
+
+
+# -- the batch read ----------------------------------------------------------
+
+
+def _check_against_chebval(asm, x, chains=(0, 1, 2)):
+    """The batch phi at x against numpy's chebval of the table each point's
+    segment holds, plus the segment's base, to 1e-14 of the table's sum |c_k|."""
+    assert x.size >= susy.BATCH_MIN
+    got = asm._phi(x, chains)
+    seg = np.minimum(np.searchsorted(asm.seg_bounds, x, side="right") - 1, len(asm.seg_bounds) - 2)
+    for i in chains:
+        for k in set(seg.tolist()):
+            on = seg == k
+            table = asm.seg_tables[i][k]
+            want = asm.seg_base[i][k] + table(x[on])  # chebval on the mapped points
+            assert np.max(np.abs(got[i, on] - want)) <= 1e-14 * np.sum(np.abs(table.coef))
+
+
+def _batches(asm):
+    """Batches that stress the segment split: segment ends, exactly BATCH_MIN
+    points, one point alone in a segment, and all points in one segment."""
+    rng = np.random.default_rng(28)
+    bounds = np.array(asm.seg_bounds)
+    a, b = bounds[:-1], bounds[1:]
+    ends = np.concatenate([bounds, np.nextafter(b, -np.inf), np.nextafter(a, np.inf)])
+    yield np.concatenate([ends, rng.uniform(0.0, bounds[-1], susy.BATCH_MIN)])
+    yield rng.uniform(0.0, bounds[-1], susy.BATCH_MIN)
+    for k in range(len(a)):
+        inside = rng.uniform(a[k], b[k], 2 * susy.BATCH_MIN)
+        yield inside
+        other = (k + 1) % len(a)
+        yield np.concatenate([inside[:1], rng.uniform(a[other], b[other], susy.BATCH_MIN)])
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERS))
+def test_batch_phi_matches_chebval(name):
+    asm = construct(*MEMBERS[name][0], TWO_PI)._ensure_assembly()
+    assert len(asm.seg_bounds) > 2  # a split to stress
+    for x in _batches(asm):
+        _check_against_chebval(asm, x)
+        for i in range(len(susy.CHAIN_NAMES)):
+            _check_against_chebval(asm, x, (i,))
+
+
+def test_batch_phi_reads_in_chunks():
+    # a basis of more than BASIS_CELLS entries is built a chunk of points at a time
+    asm = construct(*MEMBERS["detuned"][0], TWO_PI)._ensure_assembly()
+    x = np.random.default_rng(5).uniform(0.0, TWO_PI, 2 * susy.BASIS_CELLS // asm._coef[0].shape[1] + 7)
+    _check_against_chebval(asm, x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64, 196, 257])
+def test_doubling_basis_matches_cosines(n):
+    # T_k(y) = cos(k arccos y); the doubling steps add their roundoff, so
+    # the error grows with k, here bounded by k^2 ulps; at y = -1 and 1
+    # every step is exact
+    y = np.concatenate([[-1.0, 1.0, 0.0], np.random.default_rng(n).uniform(-1.0, 1.0, 300)])
+    k = np.arange(n)[:, None]
+    basis = susy._cheb_basis(y, n)
+    assert np.all(np.abs(basis - np.cos(k * np.arccos(y))) <= (k * k + 4) * np.finfo(float).eps)
+    np.testing.assert_array_equal(basis[:, :2], np.hstack([(-1.0) ** k, np.ones((n, 1))]))
+
+
+# -- the contract on a seeded family -----------------------------------------
+
+
+def _q_family_draw(rng):
+    """U = sin(x)^2 (c - sin(x)^2 Q(cos x)), c = 4 eps0 eps1, Q of degree <= 3
+    with coefficients up to c in size: double zeros at 0 and pi with the
+    right curvature and parity by construction; the detuned family is
+    Q = 2ac."""
+    e0 = float(rng.choice((0.5, 1.0, 2.0, 3.2, 5.0, 8.0)))
+    e1 = float(rng.choice((0.25, 0.5, 1.0, 2.5)))
+    q = rng.uniform(-1.0, 1.0, int(rng.integers(1, 5))).round(3)
+    poly = " + ".join(f"({v:g})*cos(x)^{k}" for k, v in enumerate(q))
+    return f"4*eps0*eps1*sin(x)^2 - 4*eps0*eps1*sin(x)^4*({poly})", e0, e1
+
+
+def test_seeded_q_family_builds_or_fails_typed():
+    # every draw is rejected, fails with a typed error, or builds and gives
+    # finite states on a grid whose phi passes the chebval oracle
+    rng = np.random.default_rng(7)
+    x = 0.1 + np.arange(512) * (TWO_PI / 512)
+    outcomes = {"rejected": 0, "typed": 0, "builds": 0}
+    for _ in range(32):
+        spec = _q_family_draw(rng)
+        try:
+            system = construct(*spec, TWO_PI)
+            states = np.array(system.wavefunctions_minus(x) + system.wavefunctions_plus(x))
+        except InadmissibleInputError:
+            outcomes["rejected"] += 1
+            continue
+        except QesError:
+            outcomes["typed"] += 1
+            continue
+        assert np.isfinite(states).all(), spec
+        _check_against_chebval(system._ensure_assembly(), susy._reduce(x, TWO_PI))
+        outcomes["builds"] += 1
+    assert outcomes["builds"] and outcomes["rejected"]
