@@ -187,9 +187,10 @@ def where(cond, a, b):
     return a if cond else b
 
 
-def _take(v, idx):
+def _take(v, idx, base, x0):
+    """v at the points idx; a jet on the base points gets x0, their copy."""
     if isinstance(v, Jet):
-        return Jet(v.x0[idx], tuple(_take(c, idx) for c in v.coeffs))
+        return Jet(x0 if v.x0 is base else v.x0[idx], tuple(_take(c, idx, base, x0) for c in v.coeffs))
     return v[idx] if isinstance(v, np.ndarray) else v
 
 
@@ -199,15 +200,19 @@ def piecewise(cond, when_true, when_false, *args):
     For scalar jets cond is a bool.  For a batch it holds one bool per
     point and args[0] is a jet of the batch; each branch then runs only on
     its own points, taken from every jet or per-point array in args, so it
-    never meets a zero denominator that belongs to the other branch.
+    never meets a zero denominator that belongs to the other branch.  The
+    jets on args[0]'s base points share one copy of the branch's points,
+    so their arithmetic skips the base-point comparison.
     """
     if not isinstance(cond, np.ndarray):
         return when_true(*args) if cond else when_false(*args)
+    base = args[0].x0
     parts = []
     for mask, fn in ((cond, when_true), (~cond, when_false)):
         idx = np.flatnonzero(mask)
         if idx.size or not cond.size:  # an empty batch learns its length from both
-            parts.append((idx, fn(*(_take(a, idx) for a in args))))
+            x0 = base[idx]
+            parts.append((idx, fn(*(_take(a, idx, base, x0) for a in args))))
     coeffs = []
     for k in range(min(len(jet.coeffs) for _, jet in parts)):
         col = np.empty(cond.size)

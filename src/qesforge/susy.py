@@ -7,6 +7,10 @@ chain W0, W1, W2, the partner potentials, and the three lower / two upper
 eigenfunctions.  Evaluation is jet based away from the structural points of
 U and switches to matched local series inside narrow windows around them;
 the seam between the two representations is verified at construction time.
+Each construction phase reads one batch over the system's patches: one U jet
+for every seam point, and one for the breakpoint tests and their glue points.
+A patch expands the Laurent chain of a branch the sign map does not take only
+when something reads it.
 One point locator, built with the system, tells every evaluator which window,
 side and branch sign a point takes; batches read the series from one table
 per chain member, and the integrals as one Chebyshev basis of the batch's
@@ -20,6 +24,7 @@ truncated series type: patches apply it once to their Laurent series, and
 
 from __future__ import annotations
 
+import contextlib
 import math
 import weakref
 from bisect import bisect_right
@@ -37,6 +42,7 @@ from .errors import (
     InadmissibleInputError,
     NegativeDiscriminantError,
     PatchFailureError,
+    QesError,
     QuadratureNonconvergenceError,
     SeamMismatchError,
     UnremovablePoleError,
@@ -170,19 +176,38 @@ def _chain(wp, u, pair: EnergyPair, d, cancel, stage: int = 5) -> _Chain:
 
 
 class _Patch:
-    """A structural point of U with its per-(side, sign) matched branches."""
+    """A structural point of U with its per-(side, sign) matched branches.
+
+    branches maps (side, sign) to why the matched branch's chain pole cannot
+    cancel, or to the _Chain of LaurentPoly of the matched W+.  A chain is
+    expanded on the first branch() or local() call that asks for it: the
+    construction asks for the sign map's pairs alone (_register_poles), so
+    until then an off-map pair holds its W+ with every other member None.
+    Pairs that match one W+ share one chain.
+    """
 
     def __init__(self, x: float, kind: str):
         self.x = x
         self.kind = kind
         self.branches = {}  # (side, sign) -> _Chain of LaurentPoly, or why its pole cannot cancel
+        self.expand = None  # W+ series -> its whole chain at x
         self.side_signs = {}  # side -> the sign map's branch half a window out on that side
         self.vplus_pole = False
         self.eval_halfwidth = 0.0
 
+    def branch(self, side: int, sign: int):
+        """The (side, sign) chain, expanded on first use, or why its pole cannot cancel."""
+        got = self.branches[(side, sign)]
+        if not isinstance(got, str) and got.w0 is None:
+            full = self.expand(got.wp)
+            for key in [key for key, v in self.branches.items() if v is got]:
+                self.branches[key] = full
+            got = full
+        return got
+
     def local(self, side: int, sign: int) -> _Chain:
         # a fresh error per raise: a stored one's traceback keeps the system alive
-        got = self.branches[(side, sign)]
+        got = self.branch(side, sign)
         if isinstance(got, str):
             raise UnremovablePoleError(self.x, got)
         return got
@@ -323,15 +348,17 @@ class ConstructedSystem:
         out.extend((i + 0.5) * L / n for i in np.flatnonzero(flip).tolist())
         return sorted(out)
 
-    def _is_breakpoint(self, x: float) -> bool:
-        u, up = self.u.jet(x, 2).coeffs
+    def _is_breakpoint(self, xs: list) -> list:
+        """Whether S vanishes at each point of xs, from one U jet over them all."""
+        x = np.array(xs, dtype=float)
+        u, up = (np.broadcast_to(c, x.shape) for c in self.u.jet(x, 2).coeffs)
         s = stable_discriminant(u, up, self.pair.eps0, self.pair.eps1)
-        return abs(s) <= 1e-8 * self._s_scale
+        return (np.abs(s) <= 1e-8 * self._s_scale).tolist()
 
     def _build_branch_map(self):
         L = self.period
         tol = 1e-6 * L
-        bps = sorted(p.x for p in self.patches if self._is_breakpoint(p.x))
+        bps = sorted(x for x, zero in zip(self._patch_xs, self._is_breakpoint(self._patch_xs)) if zero)
         if not bps:
             raise BranchInconsistencyError(
                 "no discriminant zeros found; a branch sign map cannot be anchored"
@@ -359,7 +386,7 @@ class ConstructedSystem:
                 )
         # rel[i]: stable-form sign relation across bps[i] (arc i-1 -> arc i)
         # that continues W+ smoothly, when first-order data can tell
-        rel = [self._glue_preference(b) for b in bps]
+        rel = self._glue_preference(bps)
         signs = [0] * n
         signs[0] = +1  # arc whose left endpoint is nearest the origin wins +
         while not all(signs):
@@ -391,56 +418,83 @@ class ConstructedSystem:
                 )
         self.branch_map = BranchMap(L, tuple(bps), tuple(signs))
 
-    def _glue_preference(self, b: float):
-        """Sign relation (+1 same, -1 flipped) continuing W+ through b.
+    def _glue_preference(self, bps: list) -> list:
+        """Per breakpoint b, the sign relation (+1 same, -1 flipped) that
+        continues W+ through b.
 
         At an odd-power discriminant zero the fixed-sign stable forms swap
         root curves, so exactly one relation is differentiable; at an
         analytic even-power touch both look alike at this order and the
-        decision is left to the parity pairing (None).
+        decision is left to the parity pairing (None).  One U jet serves
+        the points b - d and b + d of every b, in that order, and one
+        stable form each sign.
         """
         d = self.patch_halfwidth
-        ul = self.u.jet(_reduce(b - d, self.period), _U_TERMS["wp"] + 1)
-        ur = self.u.jet(_reduce(b + d, self.period), _U_TERMS["wp"] + 1)
-        out = {}
-        for sl in (+1, -1):
-            jl = self._w_direct(ul, sl)
-            grow = jl.value + 2.0 * d * jl.derivative(1)
-            for sr in (+1, -1):
-                jr = self._w_direct(ur, sr)
-                out[(sl, sr)] = abs(jr.value - grow) + 2.0 * d * abs(
-                    jr.derivative(1) - jl.derivative(1)
-                )
-        same = max(out[(+1, +1)], out[(-1, -1)])
-        flip = max(out[(+1, -1)], out[(-1, +1)])
-        if 10.0 * flip <= same:
-            return -1
-        if 10.0 * same <= flip:
-            return +1
-        return None
+        x = np.array([_reduce(b + side * d, self.period) for b in bps for side in (-1, +1)])
+        u = self.u.jet(x, _U_TERMS["wp"] + 1)
+        val, der = {}, {}
+        for sign in (+1, -1):
+            w = self._w_direct(u, sign)
+            val[sign], der[sign] = (np.broadcast_to(c, x.shape).tolist() for c in (w.value, w.derivative(1)))
+        out = []
+        for k in range(0, x.size, 2):
+            err = {}
+            for sl in (+1, -1):
+                grow = val[sl][k] + 2.0 * d * der[sl][k]
+                for sr in (+1, -1):
+                    err[(sl, sr)] = abs(val[sr][k + 1] - grow) + 2.0 * d * abs(der[sr][k + 1] - der[sl][k])
+            same = max(err[(+1, +1)], err[(-1, -1)])
+            flip = max(err[(+1, -1)], err[(-1, +1)])
+            out.append(-1 if 10.0 * flip <= same else +1 if 10.0 * same <= flip else None)
+        return out
 
     def _match_patches(self):
+        """Match a local series branch to the stable form of W+ at both seam
+        points x +- h of each patch, on either sign; each (side, sign) keeps
+        its pick's W+, whose chain _Patch.branch expands on first use, or the
+        reason that chain's pole cannot cancel.
+
+        The seam targets come from one U jet over every seam point and one
+        stable form per sign, a candidate's values at its patch's two seam
+        points from one call.  Should that batch raise, each target is taken
+        alone where the patch loop reads it, so the error raised is the
+        first a patch-by-patch pass meets."""
         h = self.patch_halfwidth
         e0, e1 = self.pair.eps0, self.pair.eps1
-        for patch in self.patches:
+        slope_tol = 1e-6 * max(1.0, 2.0 * e0)
+        seams = [patch.x + side * h for patch in self.patches for side in (+1, -1)]
+        try:
+            x = _reduce(np.array(seams), self.period)
+            u = self.u.jet(x, _U_TERMS["wp"])
+            targets = {sign: np.broadcast_to(self._w_direct(u, sign).value, x.shape).tolist() for sign in (+1, -1)}
+        except QesError:
+            targets = None
+        cancel = partial(local_series.LaurentPoly.structurally_trimmed, tol=1e-12)
+        for k, patch in enumerate(self.patches):
             uc = self.u.jet(patch.x, U_TAYLOR_TERMS).coeffs
             candidates = local_series.taylor_branches(patch.x, uc, e0, e1, n_coeffs=LOCAL_COEFFS)
             if not candidates:
                 raise PatchFailureError(patch.x, "no local branch solves the quadratic")
-            u_loc = local_series.LaurentPoly(patch.x, 0, uc)
-            slope_tol = 1e-6 * max(1.0, 2.0 * e0)
-            chains = {}  # candidate index -> its Laurent chain, shared by the (side, sign) pairs picking it
-            for side in (+1, -1):
-                xs = patch.x + side * h
-                u_seam = self.u.jet(_reduce(xs, self.period), _U_TERMS["wp"])
+            patch.expand = partial(
+                _chain, u=local_series.LaurentPoly(patch.x, 0, uc), pair=self.pair,
+                d=local_series.LaurentPoly.derivative, cancel=cancel,
+            )
+            pair = np.array(seams[2 * k : 2 * k + 2])
+            at = [cand(pair).tolist() for cand in candidates]
+            picked = {}  # candidate index -> the W+ stub its (side, sign) pairs share
+            for i, side in enumerate((+1, -1)):
+                xs = seams[2 * k + i]
                 for sign in (+1, -1):
-                    target = self._w_direct(u_seam, sign).value
+                    if targets is None:
+                        target = self._w_direct(self.u.jet(_reduce(xs, self.period), _U_TERMS["wp"]), sign).value
+                    else:
+                        target = targets[sign][2 * k + i]
                     ref = max(1.0, abs(target))
                     pick, best_err = None, math.inf
-                    for i, cand in enumerate(candidates):
-                        err = abs(cand(xs) - target)
+                    for c, values in enumerate(at):
+                        err = abs(values[i] - target)
                         if err < best_err:
-                            pick, best_err = i, err
+                            pick, best_err = c, err
                     if best_err > SEAM_TOL * ref:
                         raise SeamMismatchError(xs, best_err / ref, SEAM_TOL)
                     # a branch vanishing with a slope other than +-2*eps0 leaves
@@ -457,12 +511,9 @@ class ConstructedSystem:
                             "the chain pole cannot cancel"
                         )
                         continue
-                    if pick not in chains:
-                        chains[pick] = _chain(
-                            candidates[pick], u_loc, self.pair, local_series.LaurentPoly.derivative,
-                            lambda lp: lp.structurally_trimmed(1e-12),
-                        )
-                    patch.branches[(side, sign)] = chains[pick]
+                    if pick not in picked:
+                        picked[pick] = _Chain(candidates[pick], *(None,) * (len(_Chain._fields) - 1))
+                    patch.branches[(side, sign)] = picked[pick]
             if patch.kind not in (KIND_DOUBLE_ZERO, KIND_BRANCH_TOUCH):
                 for sign in (+1, -1):
                     pa = patch.branches[(+1, sign)]
@@ -752,7 +803,7 @@ class ConstructedSystem:
         the offset; "regular" drops its negative powers, "slope" is W0'."""
         key = (name, variant, sign)
         if key not in self._series_tables:
-            polys = [p.branches[(s, sign or p.side_signs[s])] for p in self.patches for s in (+1, -1)]
+            polys = [p.branch(s, sign or p.side_signs[s]) for p in self.patches for s in (+1, -1)]
             for g, got in enumerate(polys):
                 if not isinstance(got, str):
                     lp = getattr(got, name).structurally_trimmed(1e-12)
@@ -871,13 +922,15 @@ def _cheb_fit(f, n: int, lo: float, hi: float) -> Chebyshev:
     Chebyshev.interpolate, which matters once the resolution ladder climbs
     past a few thousand.
     """
-    j = np.arange(n)
-    theta = (2.0 * j + 1.0) * math.pi / (2.0 * n)
-    x = np.cos(theta)
-    y = f(lo + (hi - lo) * 0.5 * (x + 1.0))
-    c = _dct2(y) * (2.0 / n)
+    c = _dct2(f(_cheb_nodes(n, lo, hi))) * (2.0 / n)
     c[0] *= 0.5
     return Chebyshev(c, domain=[lo, hi])
+
+
+def _cheb_nodes(n: int, lo: float, hi: float) -> np.ndarray:
+    """The n first-kind Chebyshev nodes of [lo, hi], from cos((2j + 1) pi / 2n)."""
+    x = np.cos((2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n))
+    return lo + (hi - lo) * 0.5 * (x + 1.0)
 
 
 def _dct2(y: np.ndarray) -> np.ndarray:
@@ -915,6 +968,10 @@ class _StateAssembly:
     Across the seam state(x + L) = sigma_i * state(x), sigma_i = (-1)^(sum of
     rho over a period): W_i is odd about xm, so its principal value over a
     period vanishes, and the factors are periodic.
+    The tables' first rung is one sample call over every segment's nodes, as
+    a call is mostly fixed cost; a segment that climbs further samples its
+    higher rungs alone, so the fits, cuts and first error follow segment
+    order as a segment-by-segment ladder takes them.
     A scalar x is a batch of one: the system's locator splits a batch, phi is
     one Chebyshev basis of the batch's points times one coefficient matrix
     per segment (Clenshaw sums on floats below BATCH_MIN points), and the
@@ -948,17 +1005,25 @@ class _StateAssembly:
         self.seg_base = [[] for _ in CHAIN_NAMES]
         self._segments = []  # per segment: domain map, bases, coefficient rows as Python floats
         self._coef = []  # per segment: the same rows as one array
+        segments = list(zip(self.seg_bounds[:-1], self.seg_bounds[1:]))
+        # (segment, node count) -> all three chains sampled at those nodes;
+        # each chain climbs its own resolution ladder over the shared samples.
+        # Every segment starts on the first rung, so one call samples it for
+        # all of them (a call is mostly fixed cost); should that call raise,
+        # each segment samples alone, as on a higher rung, and meets its own
+        # error in segment order
+        rows = {}
+        with contextlib.suppress(QesError):
+            got = self._regular_samples(np.concatenate([_cheb_nodes(CHEB_DEGREE, a, b) for a, b in segments]))
+            rows = {(k, CHEB_DEGREE): r for k, r in enumerate(np.split(got, len(segments), axis=1))}
         acc = [0.0 for _ in CHAIN_NAMES]
-        for a, b in zip(self.seg_bounds[:-1], self.seg_bounds[1:]):
-            # node count -> all three chains sampled at those nodes; each
-            # chain climbs its own resolution ladder over the shared samples
-            rows = {}
+        for k, (a, b) in enumerate(segments):
             for i in range(len(CHAIN_NAMES)):
 
-                def sample(xv, i=i, rows=rows):
-                    if xv.size not in rows:
-                        rows[xv.size] = self._regular_samples(xv)
-                    return rows[xv.size][i]
+                def sample(xv, i=i, k=k):
+                    if (k, xv.size) not in rows:
+                        rows[(k, xv.size)] = self._regular_samples(xv)
+                    return rows[(k, xv.size)][i]
 
                 n = CHEB_DEGREE
                 while True:

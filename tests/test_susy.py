@@ -1339,6 +1339,24 @@ def test_batch_equals_batches_of_one(razavy1, beta_b0, touch):
     assert all(a.shape == (2, 3) for a in razavy1.potentials(grid) + razavy1.wavefunctions_plus(grid))
 
 
+def test_grid_states_compare_no_base_points(beta_b0, monkeypatch):
+    # each stable form of W+ runs on its own points, and every jet there
+    # shares one copy of them, so no step compares base-point arrays
+    beta_b0.wavefunctions_minus(beta_b0.midpoint)
+    checks = []
+    check = jets.Jet._check_base
+
+    def counted(self, other):
+        checks.append(1)
+        return check(self, other)
+
+    monkeypatch.setattr(jets.Jet, "_check_base", counted)
+    xs = np.linspace(0.0, beta_b0.period, 512, endpoint=False)
+    beta_b0.wavefunctions_minus(xs)
+    beta_b0.wavefunctions_plus(xs)
+    assert checks == []
+
+
 def test_grid_states_skip_scalar_paths(beta_b0, eval_jet_calls, monkeypatch):
     # a 512-point grid reads every table in per-segment batches, never one
     # point at a time, and takes one U jet batch per state call
@@ -1435,8 +1453,9 @@ def test_match_patches_builds_one_chain_per_chosen_candidate(monkeypatch):
         chosen = 0
         for patch in system.patches:
             picked = {}  # W+ series -> the chain its (side, sign) pairs share
-            for got in patch.branches.values():
-                if not isinstance(got, str):
+            for key in ((+1, +1), (+1, -1), (-1, +1), (-1, -1)):
+                if not isinstance(patch.branches[key], str):
+                    got = patch.local(*key)
                     assert picked.setdefault((got.wp.valuation, got.wp.coeffs), got) is got
             chosen += len(picked)
         assert len(calls) == chosen < 4 * len(system.patches)
