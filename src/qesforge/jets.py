@@ -12,8 +12,8 @@ longer one bit for bit.
 
 One jet can also carry a whole batch of points (Taylor-mode differentiation
 over a batch, as in Griewank & Walther, *Evaluating Derivatives*, ch. 13):
-x0 is then a 1-D array and each coefficient is either a float shared by
-every point (the zeros of a constant, say) or an array of the same length.
+x0 is then a 1-D array and each coefficient is either a scalar shared by
+every point (a constant's zeros, say) or an array of the same length.
 The recurrences below are written once for both.  Arithmetic is the same
 IEEE operation per point, so a batch reproduces the scalar jets bit for bit
 wherever the elementary functions do: they call ``math`` on floats and
@@ -21,20 +21,37 @@ numpy on arrays, which agree exactly for sqrt and, on common hardware, for
 sin and cos, while exp, sinh and cosh may differ in the last bit.  A domain
 error in a batch is reported at its first offending point.
 
+Coefficients the structure fixes are exact ints (Taylor-mode sparsity, as
+in Griewank & Walther, ch. 13): a constant's derivatives and the
+variable's coefficients past its slope are the int 0, and the variable's
+slope is the int 1.  An operation reads each operand's support, one past
+its last coefficient that is not an int 0, once, and skips every term an
+int 0 decides: a coefficient no term reaches is an int 0 itself, so the
+zeros of a constant stay structural through exp, sqrt, a product or a
+quotient.  It skips the multiply or divide an int 1 decides (a product
+with the variable, the recurrences over a linear argument, derivative(1)
+and k = 1), and a sum starts from its first term, never from 0.0.  Values
+are always plain arithmetic: no coefficient's value decides a skip, so a
+zero only the point decides (sin at 0) is multiplied like any float.  An
+int that meets no skip is plain Python arithmetic too, which is exact (0 +
+x rounds as 0.0 + x does), and a caller that hands a coefficient out of
+the package converts it to float.
+
 A coefficient can also be a ``Traced`` float, which records what is done
 with it (an AD tape, as in Griewank & Walther): each operation computes
 its float result and appends one Python statement to the tape that the
-traced value holds, and an operation between plain floats folds at once.
-``trace(fn, x)`` runs fn on a traced x and compiles the tape into a
-straight-line function of x that repeats fn's float operations in order,
-so it returns the same coefficients bit for bit.  Every comparison that
-reads a traced value (the domain checks, the zero skip of a product, a
-caller's branch) returns the outcome observed at the recorded x and
-appends a guard: an ``if`` that makes the compiled function return None,
-a side exit, wherever the outcome differs.  A caller that meets a side
-exit evaluates the jets again, where the check raises or takes the other
-branch.  A traced value has no truth value and no float conversion, so an
-unrecorded decision or constant fails loudly instead.
+traced value holds, and an operation between plain floats folds at once,
+as do a multiply and a divide by the int 1.  ``trace(fn, x)`` runs fn on
+a traced x and compiles the tape into a straight-line function of x that
+repeats fn's float operations in order, so it returns the same
+coefficients bit for bit.  Every comparison that reads a traced value
+(the domain checks of a division, sqrt and tan, and a caller's branch)
+returns the outcome observed at the recorded x and appends a guard: an
+``if`` that makes the compiled function return None, a side exit,
+wherever the outcome differs.  A caller that meets a side exit evaluates
+the jets again, where the check raises or takes the other branch.  A
+traced value has no truth value and no float conversion, so an unrecorded
+decision or constant fails loudly instead.
 """
 
 from __future__ import annotations
@@ -83,10 +100,11 @@ class Jet:
 
     def derivative(self, k: int) -> float:
         """k-th derivative of the represented function at x0, for an order
-        the jet carries."""
+        the jet carries (an int where the coefficient is structural)."""
         if not 0 <= k < len(self.coeffs):
             raise ValueError(f"derivative order {k} outside the carried 0..{len(self.coeffs) - 1}")
-        return self.coeffs[k] * math.factorial(k)
+        c = self.coeffs[k]
+        return c * math.factorial(k) if k > 1 else c
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -117,15 +135,31 @@ class Jet:
                 self._check_base(other)
             a, b = self.coeffs, other.coeffs
             n = min(len(a), len(b))
-            out = [0.0] * n  # floats: += never writes into an operand's array
-            for i in range(n):
-                ai = a[i]
-                if (ai.__class__ is float or ai.__class__ is Traced) and ai == 0.0:
-                    continue
-                for j in range(n - i):
-                    out[i + j] += ai * b[j]
-            return Jet(self.x0, tuple(out))
-        return Jet(self.x0, tuple([a * other for a in self.coeffs]))
+            out = []
+            if a[-1].__class__ is not int and b[-1].__class__ is not int:  # no structure: every term
+                for k in range(n):
+                    acc = a[0] * b[k]
+                    for i in range(1, k + 1):
+                        acc += a[i] * b[k - i]  # acc is this row's own product: in place is safe
+                    out.append(acc)
+                return Jet(self.x0, tuple(out))
+            sa, sb = _support(a), _support(b)
+            # where an operand's top coefficient is an int 1 (x's slope, or
+            # the top of a power of x), -1 where it is not
+            ua = sa - 1 if a[sa - 1].__class__ is int and a[sa - 1] == 1 else -1
+            ub = sb - 1 if b[sb - 1].__class__ is int and b[sb - 1] == 1 else -1
+            for k in range(min(n, sa + sb - 1)):
+                lo = k - sb + 1 if k >= sb else 0  # the terms a_i b_(k-i) inside both supports
+                for i in range(lo, min(k, sa - 1) + 1):
+                    t = b[k - i] if i == ua else a[i] if k - i == ub else a[i] * b[k - i]
+                    acc = t if i == lo else acc + t
+                out.append(acc)
+            return Jet(self.x0, tuple(out) + (0,) * (n - len(out)))
+        c = self.coeffs
+        if c[-1].__class__ is not int:
+            return Jet(self.x0, tuple([a * other for a in c]))
+        s = _support(c)
+        return Jet(self.x0, tuple([a * other for a in c[:s]]) + c[s:])
 
     __rmul__ = __mul__
 
@@ -146,14 +180,14 @@ class Jet:
             return 1.0 / (self ** (-n))
         if n == 0:
             return constant(1.0, self.x0, len(self.coeffs))
-        # the ladder starts from 0.0 + base, which is what a unit constant
-        # jet times the base gives, -0.0 -> +0.0 included, without the product
+        # the ladder starts from the base itself, which is what a unit
+        # constant jet times the base gives (1.0 * c, assigned), without the product
         result = None
         base = self
         k = n
         while True:
             if k & 1:
-                result = Jet(self.x0, tuple([0.0 + c for c in base.coeffs])) if result is None else result * base
+                result = base if result is None else result * base
             k >>= 1
             if not k:
                 return result
@@ -165,6 +199,14 @@ class Jet:
         differ = np.not_equal(self.x0, other.x0)
         if np.any(differ) and np.any(differ & ~(np.isnan(self.x0) & np.isnan(other.x0))):
             raise ValueError("jets have different base points")
+
+
+def _support(c) -> int:
+    """One past the last coefficient that is not a structural zero (an int 0)."""
+    s = len(c)
+    while s > 1 and c[s - 1].__class__ is int and c[s - 1] == 0:
+        s -= 1
+    return s
 
 
 def first(bad):
@@ -239,8 +281,9 @@ def _check(bad, reason: str, x0):
 
 
 def constant(v: float, x0: float = 0.0, n: int = N_COEFF) -> Jet:
-    """The constant v as a jet of n coefficients at x0."""
-    return Jet(x0, (float(v),) + (0.0,) * (n - 1))
+    """The constant v as a jet of n coefficients at x0; its derivatives are
+    structural zeros."""
+    return Jet(x0, (float(v),) + (0,) * (n - 1))
 
 
 def differentiate(j: Jet, n: int = 1) -> Jet:
@@ -252,60 +295,98 @@ def differentiate(j: Jet, n: int = 1) -> Jet:
     if n >= len(coeffs):
         raise ValueError(f"a jet of {len(coeffs)} coefficients has no derivative of order {n}")
     for _ in range(n):
-        coeffs = tuple([(k + 1) * coeffs[k + 1] for k in range(len(coeffs) - 1)])
+        coeffs = coeffs[1:2] + tuple([(k + 1) * coeffs[k + 1] for k in range(1, len(coeffs) - 1)])
     return Jet(j.x0, coeffs)
 
 
 def variable(x0, n: int = N_COEFF) -> Jet:
     """The identity function x as a jet of n coefficients at x0 (a float, a
-    traced float, or a 1-D array of points)."""
+    traced float, or a 1-D array of points): its slope is the structural
+    1 and its higher coefficients structural zeros."""
     if isinstance(x0, np.ndarray):
         value = np.asarray(x0, dtype=float)
     else:
         value = x0 if x0.__class__ is Traced else float(x0)
-    return Jet(x0, ((value, 1.0) + (0.0,) * (n - 2))[:n])
+    return Jet(x0, ((value, 1) + (0,) * (n - 2))[:n])
 
 
 def _div(num: Jet, den: Jet) -> Jet:
     _check(den.coeffs[0] == 0.0, "division by zero", num.x0)
     a, b = num.coeffs, den.coeffs
-    q = [0.0] * min(len(a), len(b))
     inv = 1.0 / b[0]
-    for k in range(len(q)):
-        acc = a[k]
-        for j in range(k):
-            acc = acc - q[j] * b[k - j]  # acc may be the caller's array: never in place
-        q[k] = acc * inv
+    q = []
+    if a[-1].__class__ is not int and b[-1].__class__ is not int:  # no structure: every term
+        for k in range(min(len(a), len(b))):
+            acc = a[k]
+            for j in range(k):
+                acc = acc - q[j] * b[k - j]  # acc may be the caller's array: never in place
+            q.append(acc * inv)
+        return Jet(num.x0, tuple(q))
+    sa, sb = _support(a), _support(b)
+    # where the denominator's top coefficient is x's slope 1 (0: nowhere, as
+    # a term's b index is at least 1)
+    unit = sb - 1 if sb > 1 and b[sb - 1].__class__ is int and b[sb - 1] == 1 else 0
+    for k in range(min(len(a), len(b))):
+        lo = k - sb + 1 if k >= sb else 0  # the terms q_j b_(k-j), lo <= j < k, inside b's support
+        if lo < k:
+            t = q[lo] if k - lo == unit else q[lo] * b[k - lo]
+            acc = a[k] - t if k < sa else -t
+            for j in range(lo + 1, k):
+                acc -= q[j] * b[k - j]  # acc is this row's own value: in place is safe
+        elif k < sa:
+            acc = a[k]
+        else:
+            q.append(0)
+            continue
+        q.append(acc * inv)
     return Jet(num.x0, tuple(q))
 
 
+def _slopes(a, s: int):
+    """(u's coefficients scaled as u' has them, j u_j for 1 <= j < s, and
+    whether u_1 is x's slope 1) for the recurrences of exp, sin and cos."""
+    d = [a[1]]
+    for j in range(2, s):
+        d.append(j * a[j])
+    return d, a[1].__class__ is int and a[1] == 1
+
+
 def exp(u: Jet) -> Jet:
-    c = [0.0] * len(u.coeffs)
-    c[0] = _lib(u.coeffs[0]).exp(u.coeffs[0])
-    for k in range(1, len(c)):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * u.coeffs[j] * c[k - j]
-        c[k] = acc / k
+    a = u.coeffs
+    c = [_lib(a[0]).exp(a[0])]
+    s = _support(a)
+    if s == 1:
+        return Jet(u.x0, tuple(c) + (0,) * (len(a) - 1))
+    d, unit = _slopes(a, s)
+    for k in range(1, len(a)):
+        acc = c[k - 1] if unit else d[0] * c[k - 1]
+        for j in range(2, k + 1 if k < s else s):
+            acc = acc + d[j - 1] * c[k - j]
+        c.append(acc / k if k > 1 else acc)
     return Jet(u.x0, tuple(c))
 
 
 def _sin_cos(u: Jet, hyperbolic: bool):
-    s = [0.0] * len(u.coeffs)
-    c = [0.0] * len(u.coeffs)
-    v = u.coeffs[0]
+    a = u.coeffs
+    v = a[0]
     lib = _lib(v)
-    if hyperbolic:
-        s[0], c[0] = lib.sinh(v), lib.cosh(v)
-    else:
-        s[0], c[0] = lib.sin(v), lib.cos(v)
-    for k in range(1, len(s)):
-        sa = ca = 0.0
-        for j in range(1, k + 1):
-            sa += j * u.coeffs[j] * c[k - j]
-            ca += j * u.coeffs[j] * s[k - j]
-        s[k] = sa / k
-        c[k] = ca / k if hyperbolic else -ca / k
+    s, c = ([lib.sinh(v)], [lib.cosh(v)]) if hyperbolic else ([lib.sin(v)], [lib.cos(v)])
+    m = _support(a)
+    if m == 1:
+        zeros = (0,) * (len(a) - 1)
+        return Jet(u.x0, tuple(s) + zeros), Jet(u.x0, tuple(c) + zeros)
+    d, unit = _slopes(a, m)
+    for k in range(1, len(a)):
+        sa, ca = (c[k - 1], s[k - 1]) if unit else (d[0] * c[k - 1], d[0] * s[k - 1])
+        for j in range(2, k + 1 if k < m else m):
+            sa = sa + d[j - 1] * c[k - j]
+            ca = ca + d[j - 1] * s[k - j]
+        if k > 1:
+            sa, ca = sa / k, ca / k if hyperbolic else -ca / k
+        elif not hyperbolic:
+            ca = -ca
+        s.append(sa)
+        c.append(ca)
     return Jet(u.x0, tuple(s)), Jet(u.x0, tuple(c))
 
 
@@ -340,14 +421,19 @@ def sqrt(u: Jet) -> Jet:
     v = u.coeffs[0]
     _check(v < 0.0, "sqrt of a negative value", u.x0)
     _check(v == 0.0, "sqrt at a zero is not jet-differentiable", u.x0)
-    r = [0.0] * len(u.coeffs)
-    r[0] = _lib(v).sqrt(v)
+    a = u.coeffs
+    r = [_lib(v).sqrt(v)]
+    s = _support(a)
+    if s == 1:
+        return Jet(u.x0, tuple(r) + (0,) * (len(a) - 1))
     inv = 0.5 / r[0]
-    for k in range(1, len(r)):
-        acc = u.coeffs[k]
-        for j in range(1, k):
-            acc = acc - r[j] * r[k - j]  # acc may be the caller's array: never in place
-        r[k] = acc * inv
+    r.append(inv if a[1].__class__ is int and a[1] == 1 else a[1] * inv)
+    for k in range(2, len(a)):
+        t = r[1] * r[k - 1]
+        acc = a[k] - t if k < s else -t
+        for j in range(2, k):
+            acc -= r[j] * r[k - j]  # acc is this row's own value: in place is safe
+        r.append(acc * inv)
     return Jet(u.x0, tuple(r))
 
 
@@ -462,16 +548,23 @@ def _is_operand(v) -> bool:
     return cls is Traced or cls is float or cls is int or isinstance(v, (np.floating, np.integer))
 
 
-def _traced_arithmetic(symbol: str, op):
+def _traced_arithmetic(symbol: str, op, unit_right: bool = False, unit_left: bool = False):
+    """The forward and reflected operator; an int 1 on a side marked unit
+    returns the traced value itself, exactly, and records nothing."""
+
     def record(a, b):
         tape = a.tape if a.__class__ is Traced else b.tape
         value = op(a.value if a.__class__ is Traced else a, b.value if b.__class__ is Traced else b)
         return tape.assign(value, f"{{}} {symbol} {{}}", (tape.operand(a), tape.operand(b)))
 
     def forward(self, other):
+        if unit_right and other.__class__ is int and other == 1:
+            return self
         return record(self, other) if _is_operand(other) else NotImplemented
 
     def reflected(self, other):
+        if unit_left and other.__class__ is int and other == 1:
+            return self
         return record(other, self) if _is_operand(other) else NotImplemented
 
     return forward, reflected
@@ -509,8 +602,8 @@ class Traced:
 
     __add__, __radd__ = _traced_arithmetic("+", operator.add)
     __sub__, __rsub__ = _traced_arithmetic("-", operator.sub)
-    __mul__, __rmul__ = _traced_arithmetic("*", operator.mul)
-    __truediv__, __rtruediv__ = _traced_arithmetic("/", operator.truediv)
+    __mul__, __rmul__ = _traced_arithmetic("*", operator.mul, unit_right=True, unit_left=True)
+    __truediv__, __rtruediv__ = _traced_arithmetic("/", operator.truediv, unit_right=True)
     __eq__ = _traced_comparison("==", operator.eq)
     __ne__ = _traced_comparison("!=", operator.ne)
     __lt__ = _traced_comparison("<", operator.lt)

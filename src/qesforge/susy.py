@@ -65,11 +65,15 @@ CHEB_DEGREE = 512
 CHEB_DEGREE_MAX = 8192
 CHEB_TAIL_REL = 1e-10
 CHAIN_NAMES = ("w0", "w1", "w2")
-BATCH_MIN = 12  # state batches below this many points run on Python floats
+BATCH_MIN = 12  # phi on fewer points (an integral's two ends) runs Clenshaw sums on Python floats
+# State factors at fewer direct points run one float chain per point: a
+# batch of the chain costs about as much as three points' float chains
+# (~0.17 ms against 0.06 ms a point for W+ and g on detuned (2.8, 0.5)).
+DIRECT_BATCH_MIN = 4
 BASIS_CELLS = 1 << 18  # a batch builds its Chebyshev basis at most this many entries (2 MB) at a time
 # Recorded W0 kernels kept per (sign, U order) for scalar V off the windows:
 # one per stable form of W+, and room for ones recorded where a guard's
-# outcome is rare (a coefficient exactly 0)
+# outcome is rare (S clamped at 0, say)
 KERNELS_PER_KEY = 4
 
 # Length of the high-order local Taylor data for U (one jet per patch) and
@@ -791,7 +795,7 @@ class ConstructedSystem:
                 if i:  # neighbouring points mostly take the same one
                     kernels.insert(0, kernels.pop(i))
                 (w0,) = got
-                return _partner_potentials(w0[0], w0[1] * 1)  # as Jet.derivative(1)
+                return _partner_potentials(w0[0], w0[1])  # w0[1] is Jet.derivative(1)
         w0 = self._direct_members(xr, ("w0",), sign, n)[0]
         if len(kernels) < KERNELS_PER_KEY:
             kernels.append(jets.trace(partial(self._direct_members, names=("w0",), sign=sign, n=n), xr))
@@ -962,7 +966,10 @@ class _StateAssembly:
     w_i(x) = exp(phi_i(xm) - phi_i(x)) * prod ((x - q) / (xm - q))^(-rho) over
     the pole images (q, rho) of chain i; phi_i integrates the pole-free part
     of W_i and xm is the half-period point.  The residues rho are integers,
-    so the signed powers carry every sign through a pole.  Inside a pole
+    so the signed powers carry every sign through a pole, and each is exact
+    products of the ratio (the ratio itself for rho = -1, its reciprocal for
+    rho = 1), not a call of pow; an exact hit of an image reads 0 for
+    rho < 0 and +inf for rho > 0.  Inside a pole
     window the image's power becomes (xm - q)^rho and factor * (x - q)^(-rho)
     comes from the factor's local series, its valuation shifted by -rho.
     Across the seam state(x + L) = sigma_i * state(x), sigma_i = (-1)^(sum of
@@ -975,7 +982,8 @@ class _StateAssembly:
     A scalar x is a batch of one: the system's locator splits a batch, phi is
     one Chebyshev basis of the batch's points times one coefficient matrix
     per segment (Clenshaw sums on floats below BATCH_MIN points), and the
-    factors are one chain batch outside the windows and one pass over the
+    factors are one chain batch outside the windows (one float chain per
+    point below DIRECT_BATCH_MIN of them) and one pass over the
     window-series tables inside.
     Each table integrates the shortest prefix of its converged fit whose
     whole dropped tail passes the ladder's own test (Chebfun's chop once a
@@ -1143,9 +1151,9 @@ class _StateAssembly:
         direct, inside = np.flatnonzero(where < 0), np.flatnonzero(where >= 0)
         names = [name for _, name in states if name]
         n = max(_U_TERMS[name] for name in names)
-        if direct.size >= BATCH_MIN:
+        if direct.size >= DIRECT_BATCH_MIN:
             factors = [jet.value for jet in sysm._direct_members(xr[direct], names, sign[direct], n)]
-        else:  # one float jet per point beats a small batch
+        else:  # one float chain per point beats a batch of fewer
             factors = [[j.value for j in sysm._direct_members(v, names, s, n)]
                        for v, s in zip(xr[direct].tolist(), sign[direct].tolist())]
             factors = np.reshape(factors, (direct.size, len(names))).T
@@ -1156,9 +1164,7 @@ class _StateAssembly:
             w = np.exp(self.phi_mid[i] - phi[i])
             q, rho = np.array(sorted(self.images[i])).reshape(-1, 2).T  # ties go to the smaller q
             near = np.full(xr.size, -1)  # the image whose pole window holds the point
-            r = (xr - q[:, None]) / (self.xm - q[:, None])
-            power = np.full(r.shape, math.inf)  # an exact hit outside a window reads 0, or inf for rho > 0
-            np.power(r, -rho[:, None], out=power, where=(r != 0.0) | (rho[:, None] < 0))
+            power = _pole_powers((xr - q[:, None]) / (self.xm - q[:, None]), rho)
             if name and q.size and inside.size:
                 d = np.abs(xr[inside] - q[:, None])
                 hit = np.min(d, axis=0) <= sysm.patch_halfwidth
@@ -1177,6 +1183,26 @@ class _StateAssembly:
         if np.ndim(x) == 0:
             return tuple(float(row[0]) for row in out)
         return tuple(row.reshape(np.shape(x)) for row in out)
+
+
+def _pole_powers(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Row i of r to the integer power -rho[i] by exact products: r itself
+    for rho = -1, 1 / r for rho = 1, repeated products for |rho| >= 2, and
+    1 for rho = 0 (a residue of size 1e-8 to 1e-6 registers as 0).  An
+    exact hit (r == 0) reads 0 for rho < 0 and +inf for rho > 0."""
+    out = np.empty(r.shape)
+    for e in set(rho.tolist()):
+        rows = rho == e
+        p = r[rows]
+        acc = p if e else np.ones_like(p)
+        for _ in range(abs(int(e)) - 1):
+            acc = acc * p
+        if e > 0:
+            with np.errstate(divide="ignore"):
+                acc = 1.0 / acc
+            acc[p == 0.0] = math.inf
+        out[rows] = acc
+    return out
 
 
 def _cheb_basis(y: np.ndarray, n: int) -> np.ndarray:

@@ -85,14 +85,14 @@ class CompiledU:
         return self.jet(x, 1).value
 
     def deriv(self, x: float, k: int = 1) -> float:
-        return self.jet(x, k + 1).derivative(k)
+        return float(self.jet(x, k + 1).derivative(k))  # a structural derivative is an int
 
     @cached_property
     def grid(self):
         """(xs, U, U') on GRID uniform samples of one period, from one batch
         jet that every scan of the validator and the construction reads."""
         xs = np.linspace(0.0, self.period, GRID, endpoint=False)
-        u, up = (np.broadcast_to(c, xs.shape) for c in self.jet(xs, 2).coeffs)
+        u, up = (np.broadcast_to(np.asarray(c, dtype=float), xs.shape) for c in self.jet(xs, 2).coeffs)
         return xs, u, up
 
 

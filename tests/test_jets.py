@@ -308,8 +308,9 @@ def _unit_ladder(b, n):
 
 
 def test_power_ladder_matches_a_unit_start():
-    # 0.0 + c starts the ladder as 1.0 * c summed into 0.0 does: a -0.0
-    # coefficient becomes +0.0 either way
+    # the ladder starts from the base itself, as a unit constant jet times
+    # the base does (each first term 1.0 * c is assigned, not summed into
+    # 0.0): a -0.0 coefficient stays -0.0 either way
     x = np.array([0.7, -1.3, 0.0, 2.5])
     bases = [
         jets.Jet(0.7, (0.7, -0.0, 1.5, -0.0)),
@@ -364,8 +365,6 @@ def test_guards_side_exit_where_a_comparison_flips():
         (lambda x: 1.0 / (x - 1.0), 2.0, (1.0,)),  # division by zero
         (lambda x: jets.tan(x), 0.3, ()),  # cos(x) == 0 is never met exactly
         (lambda x: jets.piecewise(x.value >= 0.0, jets.sin, jets.cos, x), 0.5, (-0.5, -1e-300)),
-        (lambda x: jets.sin(x) * x, 0.0, (0.5, -0.5)),  # the zero skip of a product
-        (lambda x: jets.sin(x) * x, 0.5, (0.0,)),
     ]
     for fn, at, exits in cases:
         kernel = jets.trace(lambda x: [fn(jets.variable(x))], at)
@@ -377,6 +376,41 @@ def test_guards_side_exit_where_a_comparison_flips():
     with pytest.raises(DomainEvaluationError) as exc:
         jets.sqrt(jets.variable(-1.0))
     assert sqrt(-1.0) is None and exc.value.x0 == -1.0
+
+
+def test_runtime_zero_coefficients_take_no_side_exit():
+    # a product reads no coefficient's value to skip a term, so a zero that
+    # only the point decides (sin(x) at 0) leaves the recorded kernel on
+    # course, with the coefficients the jets give bit for bit
+    for fn in (lambda x: jets.sin(x) * x, lambda x: jets.sin(x) * jets.cos(x) * jets.sin(2.0 * x)):
+        for at, other in ((0.0, 0.5), (0.5, 0.0), (0.5, -0.0)):
+            kernel = jets.trace(lambda x: [fn(jets.variable(x))], at)
+            assert "if " not in kernel.source
+            for x0 in (at, other):
+                got = kernel(x0)
+                assert got is not None, (at, x0)
+                assert [_hex(c) for c in got] == [_hex(fn(jets.variable(x0)).coeffs)], (at, x0)
+
+
+def test_structural_coefficients_are_exact_ints():
+    # a constant's derivatives are int zeros and x's slope the int 1; the
+    # operations keep them where the structure decides them and skip the
+    # arithmetic on them, so a traced kernel holds no 0.0 + , * 1 or / 1
+    def ints(coeffs):
+        assert all(k.__class__ is int for k in coeffs), coeffs
+        return coeffs
+
+    x = jets.variable(0.3, 4)
+    c = jets.constant(2.0, 0.3, 4)
+    assert ints(x.coeffs[1:]) == (1, 0, 0) and ints(c.coeffs[1:]) == (0, 0, 0)
+    for f in (jets.exp, jets.sqrt, jets.sin, jets.cosh, lambda j: 1.0 / j, lambda j: j * j):
+        assert ints(f(c).coeffs[1:]) == (0, 0, 0)
+    assert ints((x * x).coeffs[2:]) == (1, 0) and ints((2.0 * x).coeffs[2:]) == (0, 0)
+    assert ints((x / c).coeffs[2:]) == (0, 0) and ints(jets.differentiate(x * x).coeffs[1:]) == (2, 0)
+    assert x.derivative(1).__class__ is int
+    kernel = jets.trace(lambda v: (lambda x: [jets.sin(x) * jets.exp(2.0 * x) / (x + 1.0)])(jets.variable(v)), 0.3)
+    for text in ("0.0 +", "* 1)", "/ 1)", "(1 *", "0.0 *"):
+        assert text not in kernel.source, text
 
 
 def test_traced_values_refuse_unrecorded_decisions():

@@ -7,6 +7,7 @@ closed forms of the trigonometric double-well member (eps0 = 1)."""
 
 import gc
 import math
+import re
 import sys
 import weakref
 from bisect import bisect_right
@@ -994,6 +995,84 @@ def test_exact_pole_hit(razavy1):
         assert math.isfinite(val)
 
 
+def _numpy_pole_powers(r, rho):
+    """The weights' signed powers as np.power gives them, an exact hit
+    reading +inf for rho > 0: the oracle of susy._pole_powers."""
+    out = np.full(r.shape, math.inf)
+    np.power(r, -rho[:, None], out=out, where=(r != 0.0) | (rho[:, None] < 0))
+    return out
+
+
+def test_integer_pole_powers_match_numpy_power():
+    # r itself, 1 / r and repeated products against pow, within 1e-15
+    # relative; an exact hit reads 0 for rho < 0 and +inf for rho > 0
+    rng = np.random.default_rng(30)
+    rho = np.array([-1.0, 1.0, 2.0, -2.0, 3.0, 1.0, -1.0, 0.0])
+    r = rng.uniform(-3.0, 3.0, (rho.size, 500)) * 10.0 ** rng.uniform(-4.0, 1.0, (rho.size, 500))
+    r[:, :2] = 0.0, -0.0
+    got, want = susy._pole_powers(r, rho), _numpy_pole_powers(r, rho)
+    hit = r == 0.0
+    assert (got[hit & (rho[:, None] > 0)] == math.inf).all()
+    assert (got[hit & (rho[:, None] < 0)] == 0.0).all()
+    assert np.all(np.abs(got[~hit] - want[~hit]) <= 1e-15 * np.abs(want[~hit]))
+    assert (got[-1] == 1.0).all()  # rho = 0, a hit included
+
+
+def test_states_with_integer_pole_powers_match_numpy_power(beta_b0, touch, monkeypatch):
+    # on every state, at pole images exactly, inside their windows (where
+    # the window column replaces the image's own power) and off them, the
+    # states equal those of np.power's weights to 1e-14 relative, floored
+    # at 1e-3 of each state's largest value
+    for system in (beta_b0, touch):
+        h, qs = system.patch_halfwidth, sorted({q for name in ("w1", "w2") for q, _ in system.poles[name]})
+        assert qs
+        xs = np.concatenate([np.linspace(-system.period, 2.0 * system.period, 601)]
+                            + [q + np.array([0.0, -0.5 * h, 0.5 * h, 2.0 * h, -3.0 * h]) for q in qs])
+        states = []
+        for powers in (susy._pole_powers, _numpy_pole_powers):
+            monkeypatch.setattr(susy, "_pole_powers", powers)
+            states.append(system.wavefunctions_minus(xs) + system.wavefunctions_plus(xs))
+        for got, want in zip(*states):
+            floor = 1e-3 * np.max(np.abs(want[np.isfinite(want)]))
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            ok = np.isfinite(want)
+            assert np.all(np.abs(got - want)[ok] <= 1e-14 * np.maximum(np.abs(want), floor)[ok])
+
+
+@pytest.mark.parametrize("u, eps0, eps1", [("2*eps0*eps1 - 2*eps0*eps1*cos(2*x)", 1.0, 0.5), (DETUNED, 2.8, 0.5)])
+def test_public_results_are_floats(u, eps0, eps1):
+    # a jet's structural coefficients are exact ints; none leaves the API,
+    # a U with a constant term and a constant U included
+    def floats(v):
+        if isinstance(v, np.ndarray):
+            assert v.dtype == np.float64, v.dtype
+        elif isinstance(v, (tuple, list)):
+            for item in v:
+                floats(item)
+        else:
+            assert isinstance(v, float), (type(v), v)
+
+    system = construct(u, eps0, eps1, TWO_PI)
+    q = system.poles["w1"][0][0]
+    xs = np.linspace(0.0, TWO_PI, 64)
+    for x in (0.3, q, q + 0.5 * system.patch_halfwidth, system.midpoint):
+        floats(system.potentials(x))
+        floats(system.wavefunctions_minus(x))
+        floats(system.wavefunctions_plus(x))
+        floats([system.log_weight(i, x) for i in (0, 1)])
+    for sign in (None, +1, -1):
+        floats(system.potentials(xs, sign))
+    floats([system.wavefunctions_minus(xs), system.wavefunctions_plus(xs), system.log_weight(0, xs)])
+    floats([system.integrate_superpotential(i, 0.2, 0.9) for i in range(3)])
+    for text in (u, "3", "eps0"):
+        cu = validator.CompiledU(text, eps0, eps1, TWO_PI)
+        floats([cu.value(0.4), *[cu.deriv(0.4, k) for k in (1, 2, 3)], *cu.grid])
+        report = validator.check_admissibility(cu, eps0, eps1, TWO_PI)
+        floats([report.parity_defect, report.curvature_value, report.curvature_target,
+                report.third_derivative_midpoint, report.s_min, report.s_samples, report.lower_crossings])
+        floats([z.x for z in report.zeros])
+
+
 # -- midpoint jump of the detuned member -------------------------------------
 
 
@@ -1212,6 +1291,26 @@ def test_kernels_inline_single_use_temporaries(touch, monkeypatch):
         assert (got is None) == (want is None)
         if got is not None:
             assert [[c.hex() for c in row] for row in got] == [[c.hex() for c in row] for row in want]
+
+
+def test_w0_kernels_skip_what_the_structure_decides(beta_b0):
+    # x's slope is the int 1 and a constant's derivatives int zeros, so a
+    # kernel multiplies by neither and sums start from their first term; a
+    # product reads no coefficient's value, so the only zero tests left
+    # guard a sqrt or a division: seven guards with the discriminant's,
+    # the clamp's and the form choice's
+    for sign in (+1, -1):
+        kernel = jets.trace(partial(beta_b0._direct_members, names=("w0",), sign=sign, n=4), 1.0)
+        src = kernel.source
+        guards = [line.strip() for line in src.splitlines() if line.strip().startswith("if ")]
+        assert len(guards) == 7, src
+        for guard in guards:
+            if "== 0.0" in guard:
+                name = guard.split()[1]
+                assert f"sqrt({name})" in src or f"1.0 / {name}" in src, guard
+        for pattern in (r"(?<![\w.])0(\.0)? [*+-] ", r"\* 0(\.0)?(?![\w.])", r"[*/] 1(?![\w.])", r"(?<![\w.-])1 \*"):
+            assert not re.search(pattern, src), (pattern, src)
+        assert kernel(1.0) == (beta_b0._direct_members(1.0, ("w0",), sign, 4)[0].coeffs,)
 
 
 def test_kernel_side_exits_where_the_form_flips(kernel_runs):
