@@ -41,7 +41,7 @@ A coefficient can also be a ``Traced`` float, which records what is done
 with it (an AD tape, as in Griewank & Walther): each operation computes
 its float result and appends one Python statement to the tape that the
 traced value holds, and an operation between plain floats folds at once,
-as do a multiply and a divide by the int 1.  ``trace(fn, x)`` runs fn on
+as does a multiply by the int 1.  ``trace(fn, x)`` runs fn on
 a traced x and compiles the tape into a straight-line function of x that
 repeats fn's float operations in order, so it returns the same
 coefficients bit for bit.  Every comparison that reads a traced value
@@ -135,30 +135,29 @@ class Jet:
                 self._check_base(other)
             a, b = self.coeffs, other.coeffs
             n = min(len(a), len(b))
+            # each operand's support, the whole jet where its top is not an int
+            sa = len(a) if a[-1].__class__ is not int else _support(a)
+            sb = len(b) if b[-1].__class__ is not int else _support(b)
+            # the rows from which a term meets an operand's top coefficient
+            # where that is an int 1 (x's slope, or the top of a power of
+            # x): b's top meets a row's first term, a's its last; n: never
+            fa = sb - 1 if b[sb - 1].__class__ is int and b[sb - 1] == 1 else n
+            la = sa - 1 if a[sa - 1].__class__ is int and a[sa - 1] == 1 else n
             out = []
-            if a[-1].__class__ is not int and b[-1].__class__ is not int:  # no structure: every term
-                for k in range(n):
-                    acc = a[0] * b[k]
-                    for i in range(1, k + 1):
-                        acc += a[i] * b[k - i]  # acc is this row's own product: in place is safe
-                    out.append(acc)
-                return Jet(self.x0, tuple(out))
-            sa, sb = _support(a), _support(b)
-            # where an operand's top coefficient is an int 1 (x's slope, or
-            # the top of a power of x), -1 where it is not
-            ua = sa - 1 if a[sa - 1].__class__ is int and a[sa - 1] == 1 else -1
-            ub = sb - 1 if b[sb - 1].__class__ is int and b[sb - 1] == 1 else -1
             for k in range(min(n, sa + sb - 1)):
-                lo = k - sb + 1 if k >= sb else 0  # the terms a_i b_(k-i) inside both supports
-                for i in range(lo, min(k, sa - 1) + 1):
-                    t = b[k - i] if i == ua else a[i] if k - i == ub else a[i] * b[k - i]
-                    acc = t if i == lo else acc + t
-                out.append(acc)
+                # the terms a_i b_(k-i) inside both supports, lo <= i <= hi
+                lo = k - sb + 1 if k >= sb else 0
+                hi = k if k < sa else sa - 1
+                if lo < hi:
+                    acc = a[lo] if k >= fa else a[lo] * b[k - lo]
+                    for i in range(lo + 1, hi):
+                        acc = acc + a[i] * b[k - i]  # acc may be an operand's array: never in place
+                    out.append(acc + (b[k - hi] if k >= la else a[hi] * b[k - hi]))
+                else:
+                    out.append(a[lo] if k >= fa else b[k - lo] if k >= la else a[lo] * b[k - lo])
             return Jet(self.x0, tuple(out) + (0,) * (n - len(out)))
         c = self.coeffs
-        if c[-1].__class__ is not int:
-            return Jet(self.x0, tuple([a * other for a in c]))
-        s = _support(c)
+        s = len(c) if c[-1].__class__ is not int else _support(c)
         return Jet(self.x0, tuple([a * other for a in c[:s]]) + c[s:])
 
     __rmul__ = __mul__
@@ -315,14 +314,9 @@ def _div(num: Jet, den: Jet) -> Jet:
     a, b = num.coeffs, den.coeffs
     inv = 1.0 / b[0]
     q = []
-    if a[-1].__class__ is not int and b[-1].__class__ is not int:  # no structure: every term
-        for k in range(min(len(a), len(b))):
-            acc = a[k]
-            for j in range(k):
-                acc = acc - q[j] * b[k - j]  # acc may be the caller's array: never in place
-            q.append(acc * inv)
-        return Jet(num.x0, tuple(q))
-    sa, sb = _support(a), _support(b)
+    # each operand's support, the whole jet where its top is not an int
+    sa = len(a) if a[-1].__class__ is not int else _support(a)
+    sb = len(b) if b[-1].__class__ is not int else _support(b)
     # where the denominator's top coefficient is x's slope 1 (0: nowhere, as
     # a term's b index is at least 1)
     unit = sb - 1 if sb > 1 and b[sb - 1].__class__ is int and b[sb - 1] == 1 else 0
@@ -548,9 +542,10 @@ def _is_operand(v) -> bool:
     return cls is Traced or cls is float or cls is int or isinstance(v, (np.floating, np.integer))
 
 
-def _traced_arithmetic(symbol: str, op, unit_right: bool = False, unit_left: bool = False):
-    """The forward and reflected operator; an int 1 on a side marked unit
-    returns the traced value itself, exactly, and records nothing."""
+def _traced_arithmetic(symbol: str, op, unit: bool = False):
+    """The forward and reflected operator; where unit is set, a product
+    with the int 1 on either side returns the traced value itself, exactly,
+    and records nothing."""
 
     def record(a, b):
         tape = a.tape if a.__class__ is Traced else b.tape
@@ -558,12 +553,12 @@ def _traced_arithmetic(symbol: str, op, unit_right: bool = False, unit_left: boo
         return tape.assign(value, f"{{}} {symbol} {{}}", (tape.operand(a), tape.operand(b)))
 
     def forward(self, other):
-        if unit_right and other.__class__ is int and other == 1:
+        if unit and other.__class__ is int and other == 1:
             return self
         return record(self, other) if _is_operand(other) else NotImplemented
 
     def reflected(self, other):
-        if unit_left and other.__class__ is int and other == 1:
+        if unit and other.__class__ is int and other == 1:
             return self
         return record(other, self) if _is_operand(other) else NotImplemented
 
@@ -602,8 +597,8 @@ class Traced:
 
     __add__, __radd__ = _traced_arithmetic("+", operator.add)
     __sub__, __rsub__ = _traced_arithmetic("-", operator.sub)
-    __mul__, __rmul__ = _traced_arithmetic("*", operator.mul, unit_right=True, unit_left=True)
-    __truediv__, __rtruediv__ = _traced_arithmetic("/", operator.truediv, unit_right=True)
+    __mul__, __rmul__ = _traced_arithmetic("*", operator.mul, unit=True)
+    __truediv__, __rtruediv__ = _traced_arithmetic("/", operator.truediv)
     __eq__ = _traced_comparison("==", operator.eq)
     __ne__ = _traced_comparison("!=", operator.ne)
     __lt__ = _traced_comparison("<", operator.lt)

@@ -67,8 +67,10 @@ CHEB_TAIL_REL = 1e-10
 CHAIN_NAMES = ("w0", "w1", "w2")
 BATCH_MIN = 12  # phi on fewer points (an integral's two ends) runs Clenshaw sums on Python floats
 # State factors at fewer direct points run one float chain per point: a
-# batch of the chain costs about as much as three points' float chains
-# (~0.17 ms against 0.06 ms a point for W+ and g on detuned (2.8, 0.5)).
+# batch of the chain costs about as much as three points' float chains for
+# the names either state asks for (on detuned (2.8, 0.5), W+ and g for psi-
+# ~0.2 ms a batch against ~0.06 ms a point, h for psi+ ~0.25 ms against
+# ~0.08 ms), so from 4 points a batch wins on both.
 DIRECT_BATCH_MIN = 4
 BASIS_CELLS = 1 << 18  # a batch builds its Chebyshev basis at most this many entries (2 MB) at a time
 # Recorded W0 kernels kept per (sign, U order) for scalar V off the windows:

@@ -413,6 +413,35 @@ def test_structural_coefficients_are_exact_ints():
         assert text not in kernel.source, text
 
 
+def test_products_with_x_skip_the_multiply_by_its_slope():
+    # x's slope is the int 1, so a product or quotient with x passes the
+    # other factor's terms through; floats that count each multiply or
+    # divide by an int 1 show that none is done
+    ones = []
+
+    class Counted(float):
+        def __neg__(self):
+            return Counted(-float(self))
+
+    for name in ("add", "sub", "mul", "truediv"):
+        for side in ("", "r"):
+
+            def method(self, other, op=getattr(float, f"__{side}{name}__"), name=name):
+                if name in ("mul", "truediv") and other.__class__ is int and other == 1:
+                    ones.append(name)
+                return Counted(op(self, other))
+
+            setattr(Counted, f"__{side}{name}__", method)
+
+    x0 = 0.3
+    x = jets.Jet(x0, (Counted(x0), 1, 0, 0))
+    f = jets.Jet(x0, tuple(Counted(v) for v in (0.7, 0.5, -0.2, 0.1)))
+    v, g = jets.variable(x0, 4), jets.Jet(x0, tuple(float(c) for c in f.coeffs))
+    for got, plain in ((x * f, v * g), (f * x, g * v), (x * x * f, v * v * g), (f / (x + 1.0), g / (v + 1.0))):
+        assert [float(c) for c in got.coeffs] == [float(c) for c in plain.coeffs]
+    assert ones == []
+
+
 def test_traced_values_refuse_unrecorded_decisions():
     # a truth test or a float conversion would fix the recorded outcome
     # without a guard, so both fail; two tapes never mix
